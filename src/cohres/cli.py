@@ -20,17 +20,13 @@ import math
 import sys
 
 from .control import lattice_extrema, noncoherent_limits, ratio_extrema, cross_section_extrema
-from .errors import CohresError
+from .errors import CohresError, TableValidationError
 from .scan import energy_scan, write_scan_csv
 from .scenario import read_scenario
-from .tableio import read_table, write_table
+from .tableio import _fmt, read_table, write_table
 from .xsection import cross_section_matrix, differential_matrix, schwartz_ratio
 
 __all__ = ["main", "build_parser"]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _print_range(tag: str, rng, stream) -> None:
@@ -195,13 +191,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from pathlib import Path
-
-    from .errors import TableValidationError
-    from .tableio import table_from_json
-
     try:
-        table_from_json(Path(args.table).read_text(encoding="utf-8"), where=args.table)
+        read_table(args.table)
     except TableValidationError as exc:
         for v in exc.violations:
             print(v)
@@ -214,6 +205,12 @@ def _cmd_validate(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    angle = getattr(args, "angle", None)
+    if angle is not None and not 0.0 <= angle <= 180.0:
+        parser.error(f"--angle must lie in [0, 180] degrees, got {angle!r}")
+    oracle = getattr(args, "oracle", None)
+    if oracle is not None and oracle < 2:
+        parser.error(f"--oracle needs N >= 2, got {oracle!r}")
     handler = {
         "synth": _cmd_synth,
         "control": _cmd_control,
@@ -223,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (CohresError, OSError, IndexError, KeyError, ValueError) as exc:
+    except (CohresError, OSError, ValueError) as exc:
         print(f"cohres: error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import ZeroDenominatorError
-from .xsection import ControlParams, XsecMatrix, controlled_cross_section
+from .xsection import ControlParams, XsecMatrix, controlled_cross_section, quadratic_form
 
 __all__ = [
     "ControlRange",
@@ -85,26 +85,13 @@ def _params_from_vector(c1: complex, c2: complex) -> ControlParams:
     return ControlParams(s=s, phi12=phi)
 
 
-def _eigvec_params(m: XsecMatrix, lam: float) -> ControlParams:
-    """Control parameters of the unit eigenvector for eigenvalue ``lam``.
-
-    The eigenvector is built from whichever row keeps the components well
-    conditioned: the diagonal entry farther from the eigenvalue.
-    """
-    if abs(lam - m.sigma11) >= abs(lam - m.sigma22):
-        c1, c2 = m.sigma12, complex(lam - m.sigma11)
-    else:
-        c1, c2 = complex(lam - m.sigma22), m.sigma12.conjugate()
-    return _params_from_vector(c1, c2)
-
-
 def cross_section_extrema(m: XsecMatrix) -> ControlRange:
     """Exact controllable range of one channel's cross section.
 
     The bounds are the eigenvalues of the interference matrix,
     lambda_-+ = (T -+ sqrt(T^2 - 4D))/2 with T the trace and D the
-    determinant; the achieving (s, phi12) come from the unit
-    eigenvectors.  lambda_min is computed as D / lambda_max, which avoids
+    determinant; the achieving (s, phi12) span the null space of
+    M - lambda*I.  lambda_min is computed as D / lambda_max, which avoids
     the cancellation in (T - sqrt(...))/2 and preserves the sum and
     product identities to machine precision.
     """
@@ -131,8 +118,8 @@ def cross_section_extrema(m: XsecMatrix) -> ControlRange:
     return ControlRange(
         min_value=lam_min,
         max_value=lam_max,
-        params_at_min=_eigvec_params(m, lam_min),
-        params_at_max=_eigvec_params(m, lam_max),
+        params_at_min=_null_params(m.sigma11 - lam_min, m.sigma22 - lam_min, m.sigma12),
+        params_at_max=_null_params(m.sigma11 - lam_max, m.sigma22 - lam_max, m.sigma12),
     )
 
 
@@ -155,8 +142,6 @@ def _null_params(m11: float, m22: float, m12: complex) -> ControlParams:
         c1, c2 = m12, complex(-m11)
     else:
         c1, c2 = complex(m22), -m12.conjugate()
-    if c1 == 0 and c2 == 0:
-        return ControlParams(0.0, 0.0)
     return _params_from_vector(c1, c2)
 
 
@@ -240,15 +225,6 @@ def _pencil_null_params(num: XsecMatrix, den: XsecMatrix, lam: float) -> Control
     )
 
 
-def _sigma_lattice(m: XsecMatrix, s: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Controlled cross section on the outer product of ``s`` and ``phi``."""
-    base = (1.0 - s) * m.sigma11 + s * m.sigma22
-    amp = 2.0 * np.sqrt(s * (1.0 - s)) * abs(m.sigma12)
-    phase = np.cos(cmath.phase(m.sigma12) + phi)
-    values = base[:, None] + amp[:, None] * phase[None, :]
-    return np.clip(values, 0.0, None)
-
-
 def lattice_extrema(
     num: XsecMatrix,
     den: XsecMatrix | None = None,
@@ -269,12 +245,13 @@ def lattice_extrema(
         raise ValueError(f"need n_s, n_phi >= 2, got {n_s}, {n_phi}")
     s = np.linspace(0.0, 1.0, n_s)
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-    values = _sigma_lattice(num, s, phi)
+    s_col, phi_row = s[:, None], phi[None, :]
+    values = np.clip(quadratic_form(num, s_col, phi_row), 0.0, None)
     skipped = 0
     if den is not None:
         if den.trace == 0.0:
             raise ZeroDenominatorError("denominator matrix is identically zero")
-        d = _sigma_lattice(den, s, phi)
+        d = np.clip(quadratic_form(den, s_col, phi_row), 0.0, None)
         ok = d >= DENOM_FLOOR
         skipped = int(np.size(ok) - np.count_nonzero(ok))
         if skipped == np.size(ok):

@@ -3,17 +3,14 @@
 One row per total energy, carrying for every product channel the coherent
 extrema, the two no-interference cross sections and the Schwartz ratio,
 and for a designated channel pair the ratio extrema with their control
-parameters.  Rows are independent and may be computed concurrently
-(COHRES_THREADS > 0); output order always equals input order and repeated
-runs are bit-identical.
+parameters.  Rows are computed one energy at a time, in input order, and
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,12 +21,12 @@ from .control import (
     noncoherent_limits,
     ratio_extrema,
 )
+from .errors import UnknownChannelError
 from .scenario import ScenarioConfig
+from .tableio import _fmt
 from .xsection import XsecMatrix, cross_section_matrix, schwartz_ratio
 
 __all__ = ["ChannelScan", "RatioScan", "ScanRow", "energy_scan", "write_scan_csv", "scan_csv_header"]
-
-THREADS_ENV = "COHRES_THREADS"
 
 
 @dataclass(frozen=True)
@@ -136,10 +133,9 @@ def energy_scan(
 ) -> list[ScanRow]:
     """Scan the scenario over strictly increasing total energies.
 
-    Errors from the per-energy pipeline propagate annotated with the
-    offending energy.  Parallelism is capped by the COHRES_THREADS
-    environment variable (0 or unset = serial); results are
-    order-preserving either way.
+    Raises UnknownChannelError when a label of ``channel_pair`` is not a
+    scenario channel.  Errors from the per-energy pipeline propagate
+    annotated with the offending energy.
     """
     energies = list(energies)
     if not energies:
@@ -149,27 +145,18 @@ def energy_scan(
     known = cfg.product_channels()
     for label in channel_pair:
         if label not in known:
-            raise KeyError(f"channel {label!r} not in scenario channels {known}")
+            raise UnknownChannelError(f"channel {label!r} not in scenario channels {known}")
 
     grid = cfg.grid()
-
-    def one(e: float) -> ScanRow:
+    pair = tuple(channel_pair)
+    rows = []
+    for e in energies:
         try:
-            return _scan_one(cfg, grid, e, tuple(channel_pair))
+            rows.append(_scan_one(cfg, grid, e, pair))
         except Exception as exc:
             exc.args = (f"at energy {e!r} eV: {exc}",)
             raise
-
-    workers = int(os.environ.get(THREADS_ENV, "0") or "0")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, energies))
-    return [one(e) for e in energies]
-
-
-def _fmt(x: float) -> str:
-    # repr round-trips doubles exactly; inf/nan serialize as their tokens
-    return repr(float(x))
+    return rows
 
 
 def scan_csv_header(pair: tuple[str, str]) -> list[str]:

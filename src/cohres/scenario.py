@@ -23,33 +23,9 @@ from .resonance import (
     ResonanceSpec,
     synthesize_table,
 )
+from .tableio import _cx, _cx_out, _state_in, _state_out
 
 __all__ = ["ScenarioConfig", "read_scenario", "write_scenario"]
-
-
-def _cx(pair, where: str) -> complex:
-    try:
-        re, im = pair
-        return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
-        raise MalformedFileError(f"{where}: expected [re, im], got {pair!r}") from exc
-
-
-def _cx_out(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
-def _state_out(s: ChannelState) -> dict:
-    return {"arrangement": s.arrangement, "v": s.v, "j": s.j, "m": s.m}
-
-
-def _state_in(d: dict, where: str) -> ChannelState:
-    try:
-        return ChannelState(
-            arrangement=str(d["arrangement"]), v=int(d["v"]), j=int(d["j"]), m=int(d["m"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"{where}: bad state record {d!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ Externally computed amplitudes enter the package through this format:
 the producer resolves its own scattering output onto an angle grid and
 writes this document; partial-wave resummation conventions stay on the
 producer's side of the contract.
+
+The JSON codec for state records and [re, im] complex numbers, and the
+repr float formatter of the CSV and command-line output, live here too.
 """
 
 from __future__ import annotations
@@ -20,11 +23,40 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AmplitudeTable, AngleGrid, ChannelBlock, validate_table
+from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState, validate_table
 from .errors import MalformedFileError, TableValidationError
-from .scenario import _state_in, _state_out
 
 __all__ = ["write_table", "read_table", "table_to_json", "table_from_json"]
+
+
+def _fmt(x: float) -> str:
+    # repr round-trips doubles exactly; inf/nan serialize as their tokens
+    return repr(float(x))
+
+
+def _cx(pair, where: str) -> complex:
+    try:
+        re, im = pair
+        return complex(float(re), float(im))
+    except (TypeError, ValueError) as exc:
+        raise MalformedFileError(f"{where}: expected [re, im], got {pair!r}") from exc
+
+
+def _cx_out(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def _state_out(s: ChannelState) -> dict:
+    return {"arrangement": s.arrangement, "v": s.v, "j": s.j, "m": s.m}
+
+
+def _state_in(d: dict, where: str) -> ChannelState:
+    try:
+        return ChannelState(
+            arrangement=str(d["arrangement"]), v=int(d["v"]), j=int(d["j"]), m=int(d["m"])
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedFileError(f"{where}: bad state record {d!r}: {exc}") from exc
 
 
 def _flatten_amplitudes(a: np.ndarray) -> list[float]:

@@ -31,6 +31,7 @@ __all__ = [
     "cross_section_matrix",
     "differential_matrix",
     "controlled_cross_section",
+    "quadratic_form",
     "schwartz_ratio",
 ]
 
@@ -177,21 +178,29 @@ def differential_matrix(table: AmplitudeTable, channel: str, node: int) -> XsecM
     )
 
 
+def quadratic_form(
+    m: XsecMatrix, s: float | np.ndarray, phi: float | np.ndarray
+) -> float | np.ndarray:
+    """The quadratic form c^H M c at control points (s, phi12), unclamped.
+
+    Evaluates (1-s)*sigma11 + s*sigma22
+    + 2*sqrt(s(1-s))*|sigma12|*cos(Arg(sigma12) + phi12).  ``s`` and
+    ``phi`` broadcast against each other, so scalars give one point and
+    ``s[:, None], phi[None, :]`` give a whole lattice.  Roundoff may leave
+    a point slightly negative; callers clamp.
+    """
+    interf = 2.0 * np.sqrt(s * (1.0 - s)) * abs(m.sigma12)
+    return (1.0 - s) * m.sigma11 + s * m.sigma22 + interf * np.cos(cmath.phase(m.sigma12) + phi)
+
+
 def controlled_cross_section(m: XsecMatrix, p: ControlParams) -> float:
     """Cross section of the superposition at control point (s, phi12).
 
-    Evaluates (1-s)*sigma11 + s*sigma22
-    + 2*sqrt(s(1-s))*|sigma12|*cos(Arg(sigma12) + phi12), which equals the
-    quadratic form c^H M c at the unit coefficients of ``p``.  Tiny
+    The ``quadratic_form`` at the unit coefficients of ``p``.  Tiny
     negative roundoff is clamped to zero; a value below the roundoff slack
     indicates an inconsistent matrix and raises.
     """
-    interf = 2.0 * math.sqrt(p.s * (1.0 - p.s)) * abs(m.sigma12)
-    value = (
-        (1.0 - p.s) * m.sigma11
-        + p.s * m.sigma22
-        + interf * math.cos(cmath.phase(m.sigma12) + p.phi12)
-    )
+    value = float(quadratic_form(m, p.s, p.phi12))
     if value < 0.0:
         if value < -EVAL_SLACK * m.trace:
             raise ValueError(

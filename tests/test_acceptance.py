@@ -212,8 +212,7 @@ def test_criterion_07_kinematics():
     print("ACCEPTANCE 7 kinematics: PASS (kinetic-energy offset exact in doubles)")
 
 
-def test_criterion_08_fhd_analog(monkeypatch):
-    monkeypatch.delenv("COHRES_THREADS", raising=False)
+def test_criterion_08_fhd_analog():
     cfg = read_scenario(FHD_SCENARIO)
     assert resonance_branching_ratio(cfg.resonance, *PAIR) == pytest.approx(10.0, rel=1e-12)
 

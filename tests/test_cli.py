@@ -224,6 +224,21 @@ class TestExitCodes:
             main(["control"])  # missing required --table
         assert exc.value.code == 2
 
+    def test_angle_out_of_range_is_usage_error(self, fhd_table, capsys):
+        capsys.readouterr()
+        for cmd in ("control", "schwartz"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--table", str(fhd_table), "--channel", "D+HF", "--angle", "500"])
+            assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_oracle_below_two_is_usage_error(self, fhd_table, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["control", "--table", str(fhd_table), "--channel", "D+HF", "--oracle", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_is_exit_1(self, tmp_path, capsys):
         assert main(["schwartz", "--table", str(tmp_path / "no.json"), "--channel", "x"]) == 1
 

@@ -195,7 +195,41 @@ class TestNoncoherentLimits:
         assert controlled_cross_section(m, ControlParams(1.0, 0.0)) == s22
 
 
+def _rank_one_pair():
+    g = np.array([0.8, 0.3 - 0.6j])
+    G = np.outer(g.conj(), g)
+    num = sched(2 * G[0, 0].real, 2 * G[1, 1].real, 2 * G[0, 1], "A")
+    den = sched(0.5 * G[0, 0].real, 0.5 * G[1, 1].real, 0.5 * G[0, 1], "B")
+    return num, den
+
+
+# (numerator, denominator or None, lattice points skipped)
+EVALUATOR_PIN_CASES = {
+    "single-finite": (sched(1.3, 0.4, 0.2 + 0.5j), None, 0),
+    "single-degenerate": (sched(1.0, 1.0, 0.0), None, 0),
+    "ratio-finite": (sched(1.3, 0.4, 0.2 + 0.5j, "A"), sched(1.0, 2.0, 0.3 - 0.4j, "B"), 0),
+    "ratio-degenerate": (*_rank_one_pair(), 0),
+    "ratio-skipped": (sched(1.0, 1.0, 0.0, "A"), sched(1.0, 0.0, 0.0, "B"), 97),
+}
+
+
 class TestLatticeExtrema:
+    @pytest.mark.parametrize(
+        "num, den, skipped", EVALUATOR_PIN_CASES.values(), ids=EVALUATOR_PIN_CASES.keys()
+    )
+    def test_extrema_equal_evaluator_at_reported_params(self, num, den, skipped):
+        # the lattice and the scalar objective share one evaluator, so the
+        # lattice's extrema reproduce bit for bit at its reported params
+        lat = lattice_extrema(num, den, 121, 97)
+        assert lat.skipped_points == skipped
+        if den is None:
+            at_min = controlled_cross_section(num, lat.params_at_min)
+            at_max = controlled_cross_section(num, lat.params_at_max)
+        else:
+            at_min = controlled_ratio(num, den, lat.params_at_min)
+            at_max = controlled_ratio(num, den, lat.params_at_max)
+        assert (at_min, at_max) == (lat.min_value, lat.max_value)
+
     def test_agrees_with_eigensolution(self, rng):
         for _ in range(50):
             m = random_psd_matrix(rng)
@@ -214,10 +248,7 @@ class TestLatticeExtrema:
         assert (lat.min_value, lat.max_value) == (1.0, 3.0)
 
     def test_degenerate_ratio_is_flat(self):
-        g = np.array([0.8, 0.3 - 0.6j])
-        G = np.outer(g.conj(), g)
-        num = sched(2 * G[0, 0].real, 2 * G[1, 1].real, 2 * G[0, 1], "A")
-        den = sched(0.5 * G[0, 0].real, 0.5 * G[1, 1].real, 0.5 * G[0, 1], "B")
+        num, den = _rank_one_pair()
         lat = lattice_extrema(num, den, 101, 101)
         assert lat.max_value - lat.min_value <= 1e-10 * 4.0
 
