@@ -19,7 +19,13 @@ import argparse
 import math
 import sys
 
-from .control import lattice_extrema, noncoherent_limits, ratio_extrema, cross_section_extrema
+from .control import (
+    SINGULAR_TOL,
+    cross_section_extrema,
+    lattice_extrema,
+    noncoherent_limits,
+    ratio_extrema,
+)
 from .errors import CohresError, TableValidationError
 from .scan import energy_scan, write_scan_csv
 from .scenario import read_scenario
@@ -52,6 +58,17 @@ def _print_range(tag: str, rng, stream) -> None:
     print(f"{tag} param_separation = {_fmt(rng.param_separation)}", file=stream)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohres",
@@ -61,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize an amplitude table from a scenario")
     p.add_argument("--config", required=True, help="scenario JSON file")
-    p.add_argument("--energy", required=True, type=float, help="total energy in eV")
+    p.add_argument("--energy", required=True, type=_finite, help="total energy in eV")
     p.add_argument("--out", required=True, help="output table path")
 
     p = sub.add_parser("control", help="extrema of a cross section or a channel ratio")
@@ -78,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tol-singular",
-        type=float,
-        default=1e-14,
+        type=_finite,
+        default=SINGULAR_TOL,
         help="denominator-singularity threshold, det(B) <= tol*trace(B)^2",
     )
 
@@ -90,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="energy scan to CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--emin", required=True, type=float)
-    p.add_argument("--emax", required=True, type=float)
-    p.add_argument("--step", required=True, type=float)
+    p.add_argument("--emin", required=True, type=_finite)
+    p.add_argument("--emax", required=True, type=_finite)
+    p.add_argument("--step", required=True, type=_finite)
     p.add_argument("--pair", required=True, help="numerator,denominator channel labels")
     p.add_argument("--out", required=True)
 
@@ -175,11 +192,7 @@ def _cmd_schwartz(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg = read_scenario(args.config)
-    if args.step <= 0:
-        raise CohresError(f"--step must be > 0, got {args.step!r}")
     n = int(round((args.emax - args.emin) / args.step)) + 1
-    if n < 1:
-        raise CohresError("empty energy range")
     energies = [args.emin + i * args.step for i in range(n)]
     pair = tuple(p.strip() for p in args.pair.split(","))
     if len(pair) != 2 or not all(pair):
@@ -211,6 +224,14 @@ def main(argv: list[str] | None = None) -> int:
     oracle = getattr(args, "oracle", None)
     if oracle is not None and oracle < 2:
         parser.error(f"--oracle needs N >= 2, got {oracle!r}")
+    tol = getattr(args, "tol_singular", None)
+    if tol is not None and tol < 0.0:
+        parser.error(f"--tol-singular must be >= 0, got {tol!r}")
+    if args.command == "scan":
+        if args.step <= 0.0:
+            parser.error(f"--step must be > 0, got {args.step!r}")
+        if args.emin > args.emax:
+            parser.error(f"--emin must not exceed --emax, got {args.emin!r} > {args.emax!r}")
     handler = {
         "synth": _cmd_synth,
         "control": _cmd_control,

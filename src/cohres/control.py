@@ -150,14 +150,13 @@ def ratio_extrema(
     den: XsecMatrix,
     *,
     tol_singular: float = SINGULAR_TOL,
-    tol_degenerate: float = DEGENERATE_TOL,
 ) -> ControlRange:
     """Exact controllable range of the ratio of two channel cross sections.
 
     Solves det(A - lambda*B) = 0 for the numerator/denominator matrices.
     Three regimes:
 
-    * A proportional to B (within ``tol_degenerate``, elementwise relative):
+    * A proportional to B (within ``DEGENERATE_TOL``, elementwise relative):
       the ratio is flat; ``degenerate`` is set and min = max = trace ratio.
     * B singular (det B <= tol_singular * trace(B)^2) with A not
       proportional: the ratio is unbounded above; ``unbounded_max`` is set,
@@ -180,7 +179,7 @@ def ratio_extrema(
         abs(a22 - kappa * b22),
         abs(a12 - kappa * b12),
     )
-    if dev <= tol_degenerate * scale:
+    if dev <= DEGENERATE_TOL * scale:
         return ControlRange(
             min_value=kappa,
             max_value=kappa,

@@ -159,29 +159,29 @@ def energy_scan(
     return rows
 
 
+_CHANNEL_COLUMNS = ("sigma_min", "sigma_max", "sigma_11", "sigma_22", "schwartz")
+_RATIO_COLUMNS = (
+    "r_min", "s_at_rmin", "phi_at_rmin_deg",
+    "r_max", "s_at_rmax", "phi_at_rmax_deg",
+    "r_nc_min", "r_nc_max", "R", "R_nc",
+)
+
+
+def _ratio_values(r: RatioScan) -> tuple[float, ...]:
+    """The values of ``_RATIO_COLUMNS``, in that order."""
+    lo, hi = r.extrema.params_at_min, r.extrema.params_at_max
+    return (
+        r.r_min, lo.s, math.degrees(lo.phi12),
+        r.r_max, hi.s, math.degrees(hi.phi12),
+        r.r_nc_min, r.r_nc_max, r.coherent_factor, r.noncoherent_factor,
+    )
+
+
 def scan_csv_header(pair: tuple[str, str]) -> list[str]:
     cols = ["energy_eV"]
     for label in pair:
-        cols += [
-            f"sigma_min[{label}]",
-            f"sigma_max[{label}]",
-            f"sigma_11[{label}]",
-            f"sigma_22[{label}]",
-            f"schwartz[{label}]",
-        ]
-    cols += [
-        "r_min",
-        "s_at_rmin",
-        "phi_at_rmin_deg",
-        "r_max",
-        "s_at_rmax",
-        "phi_at_rmax_deg",
-        "r_nc_min",
-        "r_nc_max",
-        "R",
-        "R_nc",
-    ]
-    return cols
+        cols += [f"{name}[{label}]" for name in _CHANNEL_COLUMNS]
+    return cols + list(_RATIO_COLUMNS)
 
 
 def write_scan_csv(rows: Sequence[ScanRow], path: str | Path) -> None:
@@ -193,27 +193,9 @@ def write_scan_csv(rows: Sequence[ScanRow], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(scan_csv_header(pair))
         for row in rows:
-            rec = [_fmt(row.energy)]
+            values = [row.energy]
             for label in pair:
                 c = row.channel(label)
-                rec += [
-                    _fmt(c.sigma_min),
-                    _fmt(c.sigma_max),
-                    _fmt(c.sigma_11),
-                    _fmt(c.sigma_22),
-                    _fmt(c.schwartz),
-                ]
-            r = row.ratio
-            rec += [
-                _fmt(r.r_min),
-                _fmt(r.extrema.params_at_min.s),
-                _fmt(math.degrees(r.extrema.params_at_min.phi12)),
-                _fmt(r.r_max),
-                _fmt(r.extrema.params_at_max.s),
-                _fmt(math.degrees(r.extrema.params_at_max.phi12)),
-                _fmt(r.r_nc_min),
-                _fmt(r.r_nc_max),
-                _fmt(r.coherent_factor),
-                _fmt(r.noncoherent_factor),
-            ]
-            writer.writerow(rec)
+                values += [getattr(c, name) for name in _CHANNEL_COLUMNS]
+            values += _ratio_values(row.ratio)
+            writer.writerow([_fmt(v) for v in values])

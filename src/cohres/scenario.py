@@ -23,7 +23,7 @@ from .resonance import (
     ResonanceSpec,
     synthesize_table,
 )
-from .tableio import _cx, _cx_out, _state_in, _state_out
+from .tableio import _cx, _cx_out, _load_object, _state_in, _state_out
 
 __all__ = ["ScenarioConfig", "read_scenario", "write_scenario"]
 
@@ -196,12 +196,5 @@ def write_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
 
 def read_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedFileError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise MalformedFileError(f"{path}: top level must be an object")
+    doc = _load_object(path.read_text(encoding="utf-8"), str(path))
     return _scenario_from_dict(doc, where=str(path))

@@ -3,9 +3,12 @@
 One JSON document per table: energy, the two initial states, the angle
 grid, and per product arrangement the final states plus a flat amplitude
 array of [re1, im1, re2, im2] groups in state-major, angle-minor order.
-Floats are serialized with repr, which round-trips doubles exactly, so
-read(write(t)) is bit-identical and re-serialization reproduces the file
-byte for byte.
+That flat array is the C-order memory layout of the complex
+(n_states, n_nodes, 2) amplitude array read as float64, so encoding and
+decoding are views of one another.  Floats are serialized with repr,
+which round-trips doubles exactly, so read(write(t)) is bit-identical,
+signed zeros included, and re-serialization reproduces the file byte for
+byte.
 
 Externally computed amplitudes enter the package through this format:
 the producer resolves its own scattering output onto an angle grid and
@@ -59,51 +62,8 @@ def _state_in(d: dict, where: str) -> ChannelState:
         raise MalformedFileError(f"{where}: bad state record {d!r}: {exc}") from exc
 
 
-def _flatten_amplitudes(a: np.ndarray) -> list[float]:
-    # (n_states, n_nodes, 2) complex -> flat [re1, im1, re2, im2] per (state, node)
-    out = np.empty(a.shape[:2] + (4,), dtype=float)
-    out[:, :, 0] = a[:, :, 0].real
-    out[:, :, 1] = a[:, :, 0].imag
-    out[:, :, 2] = a[:, :, 1].real
-    out[:, :, 3] = a[:, :, 1].imag
-    return [float(x) for x in out.ravel()]
-
-
-def _unflatten_amplitudes(flat: list, n_states: int, n_nodes: int, where: str) -> np.ndarray:
-    expected = n_states * n_nodes * 4
-    if len(flat) != expected:
-        raise MalformedFileError(
-            f"{where}: amplitude array has {len(flat)} numbers, expected "
-            f"{expected} (= states * nodes * 4)"
-        )
-    arr = np.asarray(flat, dtype=float).reshape(n_states, n_nodes, 4)
-    out = np.empty((n_states, n_nodes, 2), dtype=complex)
-    out[:, :, 0] = arr[:, :, 0] + 1j * arr[:, :, 1]
-    out[:, :, 1] = arr[:, :, 2] + 1j * arr[:, :, 3]
-    return out
-
-
-def table_to_json(table: AmplitudeTable) -> str:
-    doc = {
-        "energy_eV": table.energy,
-        "initial": [_state_out(s) for s in table.initial_pair],
-        "angle_grid": {
-            "nodes_rad": [float(x) for x in table.grid.nodes],
-            "weights_sr": [float(w) for w in table.grid.weights],
-        },
-        "channels": [
-            {
-                "arrangement": b.arrangement,
-                "states": [_state_out(s) for s in b.states],
-                "amplitudes": _flatten_amplitudes(b.amplitudes),
-            }
-            for b in table.channels
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
+def _load_object(text: str, where: str) -> dict:
+    """Parse a JSON document whose top level must be an object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -112,6 +72,31 @@ def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
         ) from exc
     if not isinstance(doc, dict):
         raise MalformedFileError(f"{where}: top level must be an object")
+    return doc
+
+
+def table_to_json(table: AmplitudeTable) -> str:
+    doc = {
+        "energy_eV": table.energy,
+        "initial": [_state_out(s) for s in table.initial_pair],
+        "angle_grid": {
+            "nodes_rad": table.grid.nodes.tolist(),
+            "weights_sr": table.grid.weights.tolist(),
+        },
+        "channels": [
+            {
+                "arrangement": b.arrangement,
+                "states": [_state_out(s) for s in b.states],
+                "amplitudes": np.ascontiguousarray(b.amplitudes).view(float).ravel().tolist(),
+            }
+            for b in table.channels
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
+    doc = _load_object(text, where)
     try:
         grid_doc = doc["angle_grid"]
         grid = AngleGrid(
@@ -130,9 +115,14 @@ def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
             states = tuple(
                 _state_in(s, f"{where}.channels[{idx}].states") for s in ch["states"]
             )
-            amps = _unflatten_amplitudes(
-                ch["amplitudes"], len(states), len(grid), f"{where}.channels[{idx}]"
-            )
+            flat = ch["amplitudes"]
+            expected = len(states) * len(grid) * 4
+            if len(flat) != expected:
+                raise MalformedFileError(
+                    f"{where}.channels[{idx}]: amplitude array has {len(flat)} numbers, "
+                    f"expected {expected} (= states * nodes * 4)"
+                )
+            amps = np.asarray(flat, dtype=float).reshape(len(states), len(grid), 4).view(complex)
             blocks.append(
                 ChannelBlock(
                     arrangement=str(ch["arrangement"]), states=states, amplitudes=amps

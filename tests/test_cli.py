@@ -22,6 +22,10 @@ from conftest import FHD_SCENARIO
 PEAK_R_MIN = 0.4023174476113552
 PEAK_R_MAX = 69.67607291290689
 
+# argv prefixes with "{scenario}", "{table}" and "{out}" placeholders
+SCAN = ["scan", "--config", "{scenario}", "--pair", "D+HF,H+DF", "--out", "{out}"]
+RATIO = ["control", "--table", "{table}", "--num", "D+HF", "--den", "H+DF"]
+
 
 @pytest.fixture
 def fhd_table(tmp_path):
@@ -238,6 +242,41 @@ class TestExitCodes:
             main(["control", "--table", str(fhd_table), "--channel", "D+HF", "--oracle", "1"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--config", "{scenario}", "--energy", "nan", "--out", "{out}"],
+            ["synth", "--config", "{scenario}", "--energy", "inf", "--out", "{out}"],
+            [*SCAN, "--emin", "nan", "--emax", "0.26", "--step", "0.005"],
+            [*SCAN, "--emin", "0.25", "--emax", "inf", "--step", "0.005"],
+            [*SCAN, "--emin", "0.25", "--emax", "0.26", "--step", "inf"],
+            [*SCAN, "--emin", "0.25", "--emax", "0.26", "--step", "0"],
+            [*SCAN, "--emin", "0.3", "--emax", "0.2", "--step", "0.005"],
+            [*RATIO, "--tol-singular", "nan"],
+            [*RATIO, "--tol-singular=-1e-14"],
+        ],
+        ids=[
+            "energy-nan",
+            "energy-inf",
+            "emin-nan",
+            "emax-inf",
+            "step-inf",
+            "step-zero",
+            "emin-above-emax",
+            "tol-nan",
+            "tol-negative",
+        ],
+    )
+    def test_bad_float_flag_is_usage_error(self, argv, fhd_table, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [a.format(scenario=FHD_SCENARIO, table=fhd_table, out=out) for a in argv]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_missing_file_is_exit_1(self, tmp_path, capsys):
         assert main(["schwartz", "--table", str(tmp_path / "no.json"), "--channel", "x"]) == 1

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ class TestTableRoundTrip:
         write_table(t, p1)
         write_table(read_table(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_signed_zeros_round_trip(self, rng):
+        t = random_table(rng, n_states=2, order=4)
+        amps = t.channels[0].amplitudes.copy()
+        amps[0, 0, 0] = complex(-0.0, 1.0)
+        amps[0, 1, 1] = complex(1.0, -0.0)
+        amps[1, 2, 0] = complex(-0.0, -0.0)
+        t = replace(t, channels=(replace(t.channels[0], amplitudes=amps),) + t.channels[1:])
+        text = table_to_json(t)
+        back = table_from_json(text)
+        for ours, theirs in zip(t.channels, back.channels):
+            assert ours.amplitudes.tobytes() == theirs.amplitudes.tobytes()
+        assert table_to_json(back) == text
 
     def test_synthesized_table_round_trips(self, tmp_path):
         cfg = read_scenario(FHD_SCENARIO)
