@@ -34,6 +34,9 @@ from .xsection import cross_section_matrix, differential_matrix, schwartz_ratio
 
 __all__ = ["main", "build_parser"]
 
+MAX_ORACLE = 4096  # the lattice holds several N x N float64 arrays, ~134 MB each at the cap
+MAX_SCAN_ROWS = 10**6  # a scan row holds ~1.3 KB, so ~1.3 GB at the cap
+
 
 def _print_range(tag: str, rng, stream) -> None:
     lo_phi = math.degrees(rng.params_at_min.phi12)
@@ -190,10 +193,30 @@ def _cmd_schwartz(args) -> int:
     return 0
 
 
+def _scan_energies(parser, args) -> list[float]:
+    """The scan grid emin + i*step, checked before any file is read."""
+    if args.step <= 0.0:
+        parser.error(f"--step must be > 0, got {args.step!r}")
+    if args.emin > args.emax:
+        parser.error(f"--emin must not exceed --emax, got {args.emin!r} > {args.emax!r}")
+    span = (args.emax - args.emin) / args.step
+    if not math.isfinite(span) or span + 1.0 > MAX_SCAN_ROWS:
+        parser.error(
+            f"--emin, --emax and --step give {span + 1.0!r} energies; at most {MAX_SCAN_ROWS}"
+        )
+    n = int(round(span)) + 1
+    energies = [args.emin + i * args.step for i in range(n)]
+    if not math.isfinite(energies[-1]) or any(b <= a for a, b in zip(energies, energies[1:])):
+        parser.error(
+            f"--step {args.step!r} does not give finite, strictly increasing energies "
+            f"from --emin {args.emin!r}"
+        )
+    return energies
+
+
 def _cmd_scan(args) -> int:
     cfg = read_scenario(args.config)
-    n = int(round((args.emax - args.emin) / args.step)) + 1
-    energies = [args.emin + i * args.step for i in range(n)]
+    energies = args.energies
     pair = tuple(p.strip() for p in args.pair.split(","))
     if len(pair) != 2 or not all(pair):
         raise CohresError(f"--pair must be 'numerator,denominator', got {args.pair!r}")
@@ -222,16 +245,13 @@ def main(argv: list[str] | None = None) -> int:
     if angle is not None and not 0.0 <= angle <= 180.0:
         parser.error(f"--angle must lie in [0, 180] degrees, got {angle!r}")
     oracle = getattr(args, "oracle", None)
-    if oracle is not None and oracle < 2:
-        parser.error(f"--oracle needs N >= 2, got {oracle!r}")
+    if oracle is not None and not 2 <= oracle <= MAX_ORACLE:
+        parser.error(f"--oracle needs 2 <= N <= {MAX_ORACLE}, got {oracle!r}")
     tol = getattr(args, "tol_singular", None)
     if tol is not None and tol < 0.0:
         parser.error(f"--tol-singular must be >= 0, got {tol!r}")
     if args.command == "scan":
-        if args.step <= 0.0:
-            parser.error(f"--step must be > 0, got {args.step!r}")
-        if args.emin > args.emax:
-            parser.error(f"--emin must not exceed --emax, got {args.emin!r} > {args.emax!r}")
+        args.energies = _scan_energies(parser, args)
     handler = {
         "synth": _cmd_synth,
         "control": _cmd_control,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import legval
@@ -42,6 +43,7 @@ __all__ = [
     "legendre_shape_norm",
     "resonance_branching_ratio",
     "synthesize_table",
+    "synthesis_basis",
 ]
 
 
@@ -225,6 +227,8 @@ def synthesize_table(
     energy: float,
     initial_pair: tuple[ChannelState, ChannelState],
     mix: float,
+    *,
+    basis: Sequence[np.ndarray] | None = None,
 ) -> AmplitudeTable:
     """Amplitude table of a pole plus direct term at one total energy.
 
@@ -238,10 +242,17 @@ def synthesize_table(
     a purely pole-mediated (factorized) table, ``mix`` = 0 a purely direct
     one.  Resonance and background must cover identical channel and state
     lists (SpecMismatchError otherwise).
+
+    ``basis``, the ``synthesis_basis(res, bg, grid, mix)`` of these same
+    arguments, skips the energy-independent work when many energies are
+    synthesized: the amplitudes are then bw(E)*P + D + (E - E_ref)*S,
+    equal to the direct evaluation to rounding.
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must lie in [0, 1], got {mix!r}")
     _check_coverage(res, bg)
+    if basis is not None:
+        return _table_from_basis(res, bg, grid, energy, initial_pair, basis)
 
     x = np.cos(grid.nodes)
     bw = breit_wigner_factor(energy, res)
@@ -273,4 +284,68 @@ def synthesize_table(
         initial_pair=tuple(initial_pair),
         grid=grid,
         channels=tuple(blocks),
+    )
+
+
+def synthesis_basis(
+    res: ResonanceSpec, bg: BackgroundSpec, grid: AngleGrid, mix: float
+) -> tuple[np.ndarray, ...]:
+    """Energy-independent terms of ``synthesize_table``, one array per channel.
+
+    Couplings, shapes and background terms do not depend on energy, so the
+    amplitudes of channel ``c`` at energy E are
+
+        f(E) = bw(E) * B[0] + B[1] + (E - E_ref) * B[2]
+
+    for the returned ``B = basis[c]`` of shape (3, n_states, n_nodes, 2):
+    the pole term P, the direct term at the reference energy D and the
+    direct slope S, stacked.  Passed as ``synthesize_table(..., basis=)``
+    it is computed once for a whole scan.  Channels follow ``res.exits``;
+    the ``mix`` and coverage checks are those of ``synthesize_table``.
+    """
+    if not 0.0 <= mix <= 1.0:
+        raise ValueError(f"mix must lie in [0, 1], got {mix!r}")
+    _check_coverage(res, bg)
+
+    x = np.cos(grid.nodes)
+    entrance = np.array(res.entrance)
+    bases = []
+    for res_ch, bg_ch in zip(res.exits, bg.channels):
+        basis = np.empty((3, len(res_ch.states), len(grid), 2), dtype=complex)
+        for n, (res_st, bg_st) in enumerate(zip(res_ch.states, bg_ch.states)):
+            pole = mix * res_st.coupling * legval(x, list(res_st.shape))
+            direct = np.outer((1.0 - mix) * legval(x, list(bg_st.shape)), bg_st.column_weights)
+            basis[0, n] = np.outer(pole, entrance)
+            basis[1, n] = bg_st.amplitude * direct
+            basis[2, n] = bg_st.slope * direct
+        bases.append(basis)
+    return tuple(bases)
+
+
+def _table_from_basis(
+    res: ResonanceSpec,
+    bg: BackgroundSpec,
+    grid: AngleGrid,
+    energy: float,
+    initial_pair: tuple[ChannelState, ChannelState],
+    basis: Sequence[np.ndarray],
+) -> AmplitudeTable:
+    shapes = [(3, len(ch.states), len(grid), 2) for ch in res.exits]
+    if [np.shape(b) for b in basis] != shapes:
+        raise ValueError(
+            f"basis shapes {[np.shape(b) for b in basis]} do not match the specs "
+            f"and grid, expected {shapes}"
+        )
+    bw = breit_wigner_factor(energy, res)
+    t = energy - bg.reference_energy
+    blocks = tuple(
+        ChannelBlock(
+            arrangement=ch.arrangement,
+            states=tuple(s.state for s in ch.states),
+            amplitudes=bw * b[0] + b[1] + t * b[2],
+        )
+        for ch, b in zip(res.exits, basis)
+    )
+    return AmplitudeTable(
+        energy=energy, initial_pair=tuple(initial_pair), grid=grid, channels=blocks
     )

@@ -3,7 +3,9 @@
 One row per total energy, carrying for every product channel the coherent
 extrema, the two no-interference cross sections and the Schwartz ratio,
 and for a designated channel pair the ratio extrema with their control
-parameters.  Rows are computed one energy at a time, in input order, and
+parameters.  The scenario's energy-independent synthesis basis is
+computed once per scan and each energy's table is combined from it.  Rows
+follow input order, each row depends only on its own energy, and
 repeated runs are bit-identical.
 """
 
@@ -22,6 +24,7 @@ from .control import (
     ratio_extrema,
 )
 from .errors import UnknownChannelError
+from .resonance import synthesis_basis, synthesize_table
 from .scenario import ScenarioConfig
 from .tableio import _fmt
 from .xsection import XsecMatrix, cross_section_matrix, schwartz_ratio
@@ -96,9 +99,7 @@ def _safe_schwartz(m: XsecMatrix) -> float:
     return schwartz_ratio(m)
 
 
-def _scan_one(cfg: ScenarioConfig, grid, energy: float, pair: tuple[str, str]) -> ScanRow:
-    table = cfg.table_at(energy, grid=grid)
-    matrices = {ch: cross_section_matrix(table, ch) for ch in cfg.product_channels()}
+def _scan_row(energy: float, matrices: dict[str, XsecMatrix], pair: tuple[str, str]) -> ScanRow:
     channels = []
     for ch, m in matrices.items():
         ext = cross_section_extrema(m)
@@ -131,15 +132,20 @@ def energy_scan(
     energies: Sequence[float],
     channel_pair: tuple[str, str],
 ) -> list[ScanRow]:
-    """Scan the scenario over strictly increasing total energies.
+    """Scan the scenario over strictly increasing, finite total energies.
 
+    The scenario's ``synthesis_basis`` is computed once; each energy's
+    table is combined from it and integrated by ``cross_section_matrix``.
     Raises UnknownChannelError when a label of ``channel_pair`` is not a
-    scenario channel.  Errors from the per-energy pipeline propagate
-    annotated with the offending energy.
+    scenario channel.  Errors from a row's table, matrices and solvers
+    propagate annotated with the offending energy.
     """
     energies = list(energies)
     if not energies:
         raise ValueError("energies must be nonempty")
+    bad = next((e for e in energies if not math.isfinite(e)), None)
+    if bad is not None:
+        raise ValueError(f"energies must be finite, got {bad!r}")
     if any(b <= a for a, b in zip(energies, energies[1:])):
         raise ValueError("energies must be strictly increasing")
     known = cfg.product_channels()
@@ -148,11 +154,15 @@ def energy_scan(
             raise UnknownChannelError(f"channel {label!r} not in scenario channels {known}")
 
     grid = cfg.grid()
+    res, bg = cfg.resonance, cfg.background
+    basis = synthesis_basis(res, bg, grid, cfg.mix)
     pair = tuple(channel_pair)
     rows = []
     for e in energies:
         try:
-            rows.append(_scan_one(cfg, grid, e, pair))
+            table = synthesize_table(res, bg, grid, e, cfg.initial_pair, cfg.mix, basis=basis)
+            matrices = {ch: cross_section_matrix(table, ch) for ch in known}
+            rows.append(_scan_row(e, matrices, pair))
         except Exception as exc:
             exc.args = (f"at energy {e!r} eV: {exc}",)
             raise

@@ -14,6 +14,7 @@ from cohres import (
     ExitChannel,
     ExitState,
     ResonanceSpec,
+    ScenarioConfig,
     XsecMatrix,
     gauss_legendre_grid,
 )
@@ -97,6 +98,37 @@ def random_pure_resonance(rng: np.random.Generator):
     )
     bg = BackgroundSpec(reference_energy=eps, channels=tuple(bg_channels))
     return res, bg
+
+
+def random_scenario(
+    rng: np.random.Generator, mix: float, n_states: int, grid_order: int = 12
+) -> ScenarioConfig:
+    """Random pole-plus-background scenario over two channels of ``n_states``.
+
+    Couplings, direct amplitudes, slopes and the per-state column weights
+    are random and bounded away from zero, so the direct term couples
+    asymmetrically to the two initial states.  The background reference
+    energy sits at the pole.
+    """
+    eps = float(rng.uniform(0.1, 0.5))
+    gamma = float(rng.uniform(1e-3, 5e-2))
+    exits = []
+    bg_channels = []
+    for label in ("D+HF", "H+DF"):
+        ex_states = []
+        bg_states = []
+        for j in range(n_states):
+            st = ChannelState(label, 0, j, 0)
+            ex_states.append(ExitState(st, _coupling(rng), _positive_shape(rng)))
+            weights = (_coupling(rng), _coupling(rng))
+            bg_states.append(
+                BackgroundState(st, _coupling(rng), _coupling(rng), _positive_shape(rng), weights)
+            )
+        exits.append(ExitChannel(label, tuple(ex_states)))
+        bg_channels.append(BackgroundChannel(label, tuple(bg_states)))
+    res = ResonanceSpec(eps, gamma, (_coupling(rng), _coupling(rng)), tuple(exits))
+    bg = BackgroundSpec(reference_energy=eps, channels=tuple(bg_channels))
+    return ScenarioConfig(res, bg, mix=mix, grid_order=grid_order, initial_pair=INITIAL)
 
 
 @pytest.fixture

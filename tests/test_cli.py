@@ -22,9 +22,13 @@ from conftest import FHD_SCENARIO
 PEAK_R_MIN = 0.4023174476113552
 PEAK_R_MAX = 69.67607291290689
 
-# argv prefixes with "{scenario}", "{table}" and "{out}" placeholders
+# argv prefixes with "{scenario}", "{table}", "{out}" and "{missing}" placeholders
 SCAN = ["scan", "--config", "{scenario}", "--pair", "D+HF,H+DF", "--out", "{out}"]
 RATIO = ["control", "--table", "{table}", "--num", "D+HF", "--den", "H+DF"]
+# input files that do not exist: a check that runs before the read exits 2,
+# a check that runs after it (or none) exits 1 before doing any large work
+SCAN_UNREAD = ["scan", "--config", "{missing}", "--pair", "D+HF,H+DF", "--out", "{out}"]
+ORACLE_UNREAD = ["control", "--table", "{missing}", "--num", "D+HF", "--den", "H+DF"]
 
 
 @pytest.fixture
@@ -255,6 +259,10 @@ class TestExitCodes:
             [*SCAN, "--emin", "0.3", "--emax", "0.2", "--step", "0.005"],
             [*RATIO, "--tol-singular", "nan"],
             [*RATIO, "--tol-singular=-1e-14"],
+            [*SCAN_UNREAD, "--emin=-1e308", "--emax", "1e308", "--step", "1"],
+            [*SCAN_UNREAD, "--emin", "1", "--emax", "1.0000000000000002", "--step", "1e-17"],
+            [*SCAN_UNREAD, "--emin", "0", "--emax", "1", "--step", "1e-12"],
+            [*ORACLE_UNREAD, "--oracle", "100000"],
         ],
         ids=[
             "energy-nan",
@@ -266,11 +274,19 @@ class TestExitCodes:
             "emin-above-emax",
             "tol-nan",
             "tol-negative",
+            "grid-overflows",
+            "grid-not-increasing",
+            "grid-too-many-rows",
+            "oracle-above-cap",
         ],
     )
     def test_bad_float_flag_is_usage_error(self, argv, fhd_table, tmp_path, capsys):
         out = tmp_path / "out"
-        argv = [a.format(scenario=FHD_SCENARIO, table=fhd_table, out=out) for a in argv]
+        missing = tmp_path / "missing.json"
+        argv = [
+            a.format(scenario=FHD_SCENARIO, table=fhd_table, out=out, missing=missing)
+            for a in argv
+        ]
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv)

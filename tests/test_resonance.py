@@ -31,7 +31,8 @@ from cohres import (
     validate_table,
     width_from_lifetime,
 )
-from conftest import INITIAL, random_pure_resonance
+from cohres.resonance import synthesis_basis
+from conftest import INITIAL, random_pure_resonance, random_scenario
 
 
 def simple_specs(mix_shapes=False):
@@ -197,11 +198,41 @@ class TestSynthesizeTable:
         )
         with pytest.raises(SpecMismatchError):
             synthesize_table(res, bad_bg, gauss_legendre_grid(4), 0.3, INITIAL, mix=0.5)
+        with pytest.raises(SpecMismatchError):
+            synthesis_basis(res, bad_bg, gauss_legendre_grid(4), mix=0.5)
 
     def test_mix_out_of_range(self):
         res, bg = simple_specs()
         with pytest.raises(ValueError):
             synthesize_table(res, bg, gauss_legendre_grid(4), 0.3, INITIAL, mix=1.5)
+        with pytest.raises(ValueError):
+            synthesis_basis(res, bg, gauss_legendre_grid(4), mix=1.5)
+
+    @pytest.mark.parametrize("mix", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_states", [1, 3, 6])
+    def test_basis_reproduces_synthesized_amplitudes(self, mix, n_states):
+        rng = np.random.default_rng((20261018, n_states))
+        cfg = random_scenario(rng, mix, n_states)
+        res, bg, grid = cfg.resonance, cfg.background, cfg.grid()
+        basis = synthesis_basis(res, bg, grid, mix)
+        for e in [res.epsilon_r + d for d in (-0.05, -0.001, 0.0, 0.002, 0.04)]:
+            want = synthesize_table(res, bg, grid, e, INITIAL, mix)
+            got = synthesize_table(res, bg, grid, e, INITIAL, mix, basis=basis)
+            assert (got.energy, got.initial_pair, got.grid) == (e, INITIAL, grid)
+            assert got.arrangements() == want.arrangements()
+            for g, w in zip(got.channels, want.channels, strict=True):
+                assert g.states == w.states
+                assert g.amplitudes.shape == w.amplitudes.shape
+                scale = np.max(np.abs(w.amplitudes))
+                assert np.max(np.abs(g.amplitudes - w.amplitudes)) <= 1e-14 * scale
+
+    def test_basis_of_other_specs_rejected(self):
+        res, bg = simple_specs()
+        basis = synthesis_basis(res, bg, gauss_legendre_grid(4), mix=0.5)
+        with pytest.raises(ValueError, match="basis shapes"):
+            synthesize_table(res, bg, gauss_legendre_grid(5), 0.3, INITIAL, 0.5, basis=basis)
+        with pytest.raises(ValueError, match="basis shapes"):
+            synthesize_table(res, bg, gauss_legendre_grid(4), 0.3, INITIAL, 0.5, basis=basis[:1])
 
 
 class TestBranching:

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from cohres import (
@@ -12,12 +14,16 @@ from cohres import (
     ResonanceSpec,
     ScenarioConfig,
     UnknownChannelError,
+    controlled_ratio,
+    cross_section_matrix,
     energy_scan,
     read_scenario,
+    synthesize_table,
     write_scan_csv,
 )
-from cohres.scan import scan_csv_header
-from conftest import FHD_SCENARIO, INITIAL
+from cohres.resonance import synthesis_basis
+from cohres.scan import _scan_row, scan_csv_header
+from conftest import FHD_SCENARIO, INITIAL, random_scenario
 
 PAIR = ("D+HF", "H+DF")
 ENERGIES = [0.25 + 0.005 * i for i in range(13)]
@@ -109,6 +115,133 @@ class TestEnergyScan:
         write_scan_csv(energy_scan(cfg, ENERGIES, PAIR), p1)
         write_scan_csv(energy_scan(cfg, ENERGIES, PAIR), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+EPS = sys.float_info.epsilon
+
+
+def per_table_row(cfg, energy, pair=PAIR):
+    """The reference: table_at + cross_section_matrix + the scalar solvers.
+
+    Returns the row and its matrices.
+    """
+    table = cfg.table_at(energy)
+    matrices = {ch: cross_section_matrix(table, ch) for ch in cfg.product_channels()}
+    return _scan_row(energy, matrices, pair), matrices
+
+
+def _cond(m) -> float:
+    return m.trace**2 / m.det if m.det > 0.0 else math.inf
+
+
+def assert_rows_match(got, want, matrices, rel=1e-12, cond_factor=64):
+    """Every field of ``got`` equals the reference row ``want`` to ``rel``.
+
+    Fields that pass through a determinant also carry the rounding of the
+    reference matrices themselves: an entry off by eps*trace moves det by
+    about eps*trace^2.  So sigma_min is off by a few eps*trace, and a
+    finite ratio range by up to ``cond_factor``*eps*(cond(A) + cond(B))
+    relative, with cond = trace^2/det of the numerator A and the
+    denominator B.  An unbounded or degenerate range has its r_min,
+    possibly 0 in exact arithmetic, compared to rel*kappa, kappa =
+    tr(A)/tr(B).  The control parameters of a finite extremum are checked
+    by the ratio they achieve on the reference matrices, which is
+    stationary there; ``cond_factor`` 0 (a well-conditioned scenario)
+    compares them directly, as it does an unbounded maximum's.
+    """
+    assert got.energy == want.energy
+    for g, w in zip(got.channels, want.channels, strict=True):
+        assert g.channel == w.channel
+        for name in ("sigma_11", "sigma_22", "sigma_max", "schwartz"):
+            assert getattr(g, name) == pytest.approx(getattr(w, name), rel=rel), name
+        trace = w.sigma_11 + w.sigma_22
+        assert g.sigma_min == pytest.approx(w.sigma_min, rel=rel, abs=8 * EPS * trace)
+    g, w = got.ratio, want.ratio
+    assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+    assert g.extrema.unbounded_max == w.extrema.unbounded_max
+    assert g.extrema.degenerate == w.extrema.degenerate
+    assert g.r_nc_min == pytest.approx(w.r_nc_min, rel=rel)
+    assert g.r_nc_max == pytest.approx(w.r_nc_max, rel=rel)
+    num, den = matrices[w.numerator], matrices[w.denominator]
+    if g.extrema.unbounded_max or g.extrema.degenerate:
+        tol, floor = rel, rel * num.trace / den.trace
+    else:
+        tol, floor = rel + cond_factor * EPS * (_cond(num) + _cond(den)), 0.0
+    for name in ("r_min", "r_max"):
+        assert getattr(g, name) == pytest.approx(getattr(w, name), rel=tol, abs=floor), name
+    for which, value in (("params_at_min", w.r_min), ("params_at_max", w.r_max)):
+        p, q = getattr(g.extrema, which), getattr(w.extrema, which)
+        if cond_factor == 0 or math.isinf(value):
+            assert abs(p.s - q.s) <= rel, which
+            assert abs(math.remainder(p.phi12 - q.phi12, 2 * math.pi)) <= rel * 2 * math.pi, which
+        else:
+            achieved = controlled_ratio(num, den, p)
+            assert achieved == pytest.approx(value, rel=tol, abs=floor), which
+
+
+class TestBasisScan:
+    """Rows from basis-combined tables against the per-table reference path."""
+
+    def test_rows_match_per_table_path_on_fhd_grid(self):
+        cfg = read_scenario(FHD_SCENARIO)
+        energies = [0.20 + 0.11 * i / 1100 for i in range(1101)]
+        for row in energy_scan(cfg, energies, PAIR):
+            assert_rows_match(row, *per_table_row(cfg, row.energy), cond_factor=0)
+
+    @pytest.mark.parametrize("mix", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 5, 6])
+    def test_rows_match_per_table_path_on_random_scenarios(self, mix, n_states):
+        rng = np.random.default_rng((20261018, n_states))
+        cfg = random_scenario(rng, mix, n_states)
+        e0 = cfg.resonance.epsilon_r
+        energies = [e0 - 0.05 + 0.005 * i for i in range(21)]
+        for row in energy_scan(cfg, energies, PAIR):
+            assert_rows_match(row, *per_table_row(cfg, row.energy))
+
+    def test_single_energy_is_bitwise_its_row_in_a_long_scan(self):
+        cfg = read_scenario(FHD_SCENARIO)
+        energies = [0.20 + 0.11 * i / 400 for i in range(401)]
+        rows = energy_scan(cfg, energies, PAIR)
+        for i in (0, 1, 7, 127, 200, 399, 400):
+            (alone,) = energy_scan(cfg, [energies[i]], PAIR)
+            assert repr(alone) == repr(rows[i])
+
+    def test_scan_computes_the_basis_once(self, monkeypatch):
+        bases, tables = [], []
+
+        def basis_spy(*args, **kwargs):
+            bases.append(synthesis_basis(*args, **kwargs))
+            return bases[-1]
+
+        def table_spy(*args, basis=None, **kwargs):
+            assert basis is bases[0]
+            tables.append(synthesize_table(*args, basis=basis, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr("cohres.scan.synthesis_basis", basis_spy)
+        monkeypatch.setattr("cohres.scan.synthesize_table", table_spy)
+        cfg = read_scenario(FHD_SCENARIO)
+        assert len(energy_scan(cfg, ENERGIES, PAIR)) == len(ENERGIES)
+        assert len(bases) == 1
+        assert [t.energy for t in tables] == ENERGIES
+
+    @pytest.mark.parametrize(
+        "energies, bad",
+        [
+            ([0.25, math.nan, 0.26], "nan"),
+            ([0.25, 0.26, math.inf], "inf"),
+            ([-math.inf, 0.25], "-inf"),
+        ],
+    )
+    def test_non_finite_energy_rejected_before_any_work(self, energies, bad, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the energies were checked")
+
+        monkeypatch.setattr("cohres.scan.synthesis_basis", refuse)
+        monkeypatch.setattr("cohres.scan.synthesize_table", refuse)
+        cfg = read_scenario(FHD_SCENARIO)
+        with pytest.raises(ValueError, match=f"^energies must be finite, got {bad}$"):
+            energy_scan(cfg, energies, PAIR)
 
 
 class TestScanCsv:
