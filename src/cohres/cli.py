@@ -8,9 +8,12 @@ Subcommands:
 * ``scan``     energy scan to CSV
 * ``validate`` check a table file against the format invariants
 
-Angles and phases are degrees here and only here; files and the library
-are radians.  All numbers print with repr, so CLI output equals library
-values exactly.  Exit codes: 0 success, 1 domain error, 2 usage error.
+Angles and phases are degrees here and in the scan CSV's
+``phi_at_rmin_deg``/``phi_at_rmax_deg`` columns; table and scenario files
+and the library are radians.  Each flag's valid range lives in its
+argparse type, so a bad value is a usage error before any file is read.
+All numbers print with repr, so CLI output equals library values exactly.
+Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -38,38 +41,44 @@ MAX_ORACLE = 4096  # the lattice holds several N x N float64 arrays, ~134 MB eac
 MAX_SCAN_ROWS = 10**6  # a scan row holds ~1.3 KB, so ~1.3 GB at the cap
 
 
-def _print_range(tag: str, rng, stream) -> None:
+def _print_range(tag: str, rng) -> None:
     lo_phi = math.degrees(rng.params_at_min.phi12)
     hi_phi = math.degrees(rng.params_at_max.phi12)
     print(
         f"{tag}_min = {_fmt(rng.min_value)} at s = {_fmt(rng.params_at_min.s)}, "
-        f"phi12_deg = {_fmt(lo_phi)}",
-        file=stream,
+        f"phi12_deg = {_fmt(lo_phi)}"
     )
     print(
         f"{tag}_max = {_fmt(rng.max_value)} at s = {_fmt(rng.params_at_max.s)}, "
-        f"phi12_deg = {_fmt(hi_phi)}",
-        file=stream,
+        f"phi12_deg = {_fmt(hi_phi)}"
     )
     if rng.degenerate:
-        print(f"{tag} is independent of the control parameters", file=stream)
+        print(f"{tag} is independent of the control parameters")
     if rng.unbounded_max:
-        print(
-            f"{tag}_max is unbounded; params_at_max gives the denominator zero",
-            file=stream,
-        )
-    print(f"{tag} param_separation = {_fmt(rng.param_separation)}", file=stream)
+        print(f"{tag}_max is unbounded; params_at_max gives the denominator zero")
+    print(f"{tag} param_separation = {_fmt(rng.param_separation)}")
 
 
-def _finite(text: str) -> float:
-    """argparse type: a float that is neither nan nor infinite."""
-    try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return x
+def _number(convert, ok, want: str):
+    """argparse type: ``convert(text)``, a usage error unless ``ok`` holds for it."""
+
+    def parse(text: str):
+        try:
+            x = convert(text)
+            if ok(x):
+                return x
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+
+    return parse
+
+
+_FINITE = _number(float, math.isfinite, "a finite number")
+_STEP = _number(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_TOL = _number(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
+_ANGLE = _number(float, lambda x: 0.0 <= x <= 180.0, "degrees in [0, 180]")
+_ORACLE = _number(int, lambda n: 2 <= n <= MAX_ORACLE, f"an integer in [2, {MAX_ORACLE}]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,46 +89,63 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize an amplitude table from a scenario")
+    p.set_defaults(handler=_cmd_synth)
     p.add_argument("--config", required=True, help="scenario JSON file")
-    p.add_argument("--energy", required=True, type=_finite, help="total energy in eV")
+    p.add_argument("--energy", required=True, type=_FINITE, help="total energy in eV")
     p.add_argument("--out", required=True, help="output table path")
 
     p = sub.add_parser("control", help="extrema of a cross section or a channel ratio")
+    p.set_defaults(handler=_cmd_control)
     p.add_argument("--table", required=True, help="amplitude table JSON file")
     p.add_argument("--channel", help="single-channel mode: extremize this channel")
     p.add_argument("--num", help="ratio mode: numerator channel")
     p.add_argument("--den", help="ratio mode: denominator channel")
-    p.add_argument("--angle", type=float, help="degrees; use the nearest grid node")
+    p.add_argument("--angle", type=_ANGLE, help="degrees; use the nearest grid node")
     p.add_argument(
         "--oracle",
-        type=int,
+        type=_ORACLE,
         metavar="N",
         help="also run the N x N lattice cross-check and print it",
     )
     p.add_argument(
         "--tol-singular",
-        type=_finite,
+        type=_TOL,
         default=SINGULAR_TOL,
         help="denominator-singularity threshold, det(B) <= tol*trace(B)^2",
     )
 
     p = sub.add_parser("schwartz", help="Schwartz ratio |s12|/sqrt(s11*s22)")
+    p.set_defaults(handler=_cmd_schwartz)
     p.add_argument("--table", required=True)
     p.add_argument("--channel", required=True)
-    p.add_argument("--angle", type=float, help="degrees; omit for the integral ratio")
+    p.add_argument("--angle", type=_ANGLE, help="degrees; omit for the integral ratio")
 
     p = sub.add_parser("scan", help="energy scan to CSV")
+    p.set_defaults(handler=_cmd_scan)
     p.add_argument("--config", required=True)
-    p.add_argument("--emin", required=True, type=_finite)
-    p.add_argument("--emax", required=True, type=_finite)
-    p.add_argument("--step", required=True, type=_finite)
+    p.add_argument("--emin", required=True, type=_FINITE)
+    p.add_argument("--emax", required=True, type=_FINITE)
+    p.add_argument("--step", required=True, type=_STEP)
     p.add_argument("--pair", required=True, help="numerator,denominator channel labels")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("validate", help="check a table file against the invariants")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("--table", required=True)
 
     return parser
+
+
+def _node(table, angle: float | None) -> int | None:
+    """The grid node nearest ``angle`` degrees, or None for the integral."""
+    return None if angle is None else table.grid.nearest_node(math.radians(angle))
+
+
+def _matrix(table, label: str, node: int | None):
+    """The integral matrix of ``label``, or its differential matrix at ``node``."""
+    if node is None:
+        return cross_section_matrix(table, label)
+    return differential_matrix(table, label, node)
 
 
 def _matrices(args, table):
@@ -131,21 +157,14 @@ def _matrices(args, table):
     if not args.channel and not args.num:
         raise CohresError("need --channel or --num/--den")
 
-    node = None
-    if args.angle is not None:
-        node = table.grid.nearest_node(math.radians(args.angle))
+    node = _node(table, args.angle)
+    if node is not None:
         print(
             f"angle node {node} at theta_deg = {_fmt(math.degrees(table.grid.nodes[node]))}"
         )
-
-    def matrix(label: str):
-        if node is None:
-            return cross_section_matrix(table, label)
-        return differential_matrix(table, label, node)
-
     if args.channel:
-        return matrix(args.channel), None
-    return matrix(args.num), matrix(args.den)
+        return _matrix(table, args.channel, node), None
+    return _matrix(table, args.num, node), _matrix(table, args.den, node)
 
 
 def _cmd_synth(args) -> int:
@@ -157,46 +176,37 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_control(args) -> int:
+    """Extrema of sigma (one channel) or of r = num/den, then the s = 0, 1 limits."""
     table = read_table(args.table)
     num, den = _matrices(args, table)
-    if den is None:
-        rng = cross_section_extrema(num)
-        s11, s22 = noncoherent_limits(num)
-        _print_range("sigma", rng, sys.stdout)
-        print(f"sigma_s0 = {_fmt(s11)}")
-        print(f"sigma_s1 = {_fmt(s22)}")
-        if args.oracle:
-            _print_range("oracle_sigma", lattice_extrema(num, None, args.oracle, args.oracle), sys.stdout)
+    if den is None:  # dividing by 1.0 is exact, so sigma's limits print unchanged
+        tag, rng, den_limits = "sigma", cross_section_extrema(num), (1.0, 1.0)
     else:
+        tag = "r"
         rng = ratio_extrema(num, den, tol_singular=args.tol_singular)
-        _print_range("r", rng, sys.stdout)
-        print(f"r_s0 = {_fmt(num.sigma11 / den.sigma11)}")
-        print(f"r_s1 = {_fmt(num.sigma22 / den.sigma22)}")
-        if args.oracle:
-            _print_range("oracle_r", lattice_extrema(num, den, args.oracle, args.oracle), sys.stdout)
+        den_limits = noncoherent_limits(den)
+    _print_range(tag, rng)
+    for s, (n, d) in enumerate(zip(noncoherent_limits(num), den_limits)):
+        print(f"{tag}_s{s} = {_fmt(n / d)}")
+    if args.oracle:
+        _print_range(f"oracle_{tag}", lattice_extrema(num, den, args.oracle, args.oracle))
     return 0
 
 
 def _cmd_schwartz(args) -> int:
     table = read_table(args.table)
-    if args.angle is None:
-        m = cross_section_matrix(table, args.channel)
-        print(f"schwartz[{args.channel}] (integral) = {_fmt(schwartz_ratio(m))}")
+    node = _node(table, args.angle)
+    ratio = _fmt(schwartz_ratio(_matrix(table, args.channel, node)))
+    if node is None:
+        print(f"schwartz[{args.channel}] (integral) = {ratio}")
     else:
-        node = table.grid.nearest_node(math.radians(args.angle))
-        theta = math.degrees(table.grid.nodes[node])
-        m = differential_matrix(table, args.channel, node)
-        print(
-            f"schwartz[{args.channel}] at node {node} (theta_deg = {_fmt(theta)}) = "
-            f"{_fmt(schwartz_ratio(m))}"
-        )
+        theta = _fmt(math.degrees(table.grid.nodes[node]))
+        print(f"schwartz[{args.channel}] at node {node} (theta_deg = {theta}) = {ratio}")
     return 0
 
 
 def _scan_energies(parser, args) -> list[float]:
     """The scan grid emin + i*step, checked before any file is read."""
-    if args.step <= 0.0:
-        parser.error(f"--step must be > 0, got {args.step!r}")
     if args.emin > args.emax:
         parser.error(f"--emin must not exceed --emax, got {args.emin!r} > {args.emax!r}")
     span = (args.emax - args.emin) / args.step
@@ -216,11 +226,10 @@ def _scan_energies(parser, args) -> list[float]:
 
 def _cmd_scan(args) -> int:
     cfg = read_scenario(args.config)
-    energies = args.energies
     pair = tuple(p.strip() for p in args.pair.split(","))
     if len(pair) != 2 or not all(pair):
         raise CohresError(f"--pair must be 'numerator,denominator', got {args.pair!r}")
-    rows = energy_scan(cfg, energies, pair)
+    rows = energy_scan(cfg, args.energies, pair)
     write_scan_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -241,26 +250,10 @@ def _cmd_validate(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    angle = getattr(args, "angle", None)
-    if angle is not None and not 0.0 <= angle <= 180.0:
-        parser.error(f"--angle must lie in [0, 180] degrees, got {angle!r}")
-    oracle = getattr(args, "oracle", None)
-    if oracle is not None and not 2 <= oracle <= MAX_ORACLE:
-        parser.error(f"--oracle needs 2 <= N <= {MAX_ORACLE}, got {oracle!r}")
-    tol = getattr(args, "tol_singular", None)
-    if tol is not None and tol < 0.0:
-        parser.error(f"--tol-singular must be >= 0, got {tol!r}")
     if args.command == "scan":
         args.energies = _scan_energies(parser, args)
-    handler = {
-        "synth": _cmd_synth,
-        "control": _cmd_control,
-        "schwartz": _cmd_schwartz,
-        "scan": _cmd_scan,
-        "validate": _cmd_validate,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except (CohresError, OSError, ValueError) as exc:
         print(f"cohres: error: {exc}", file=sys.stderr)
         return 1

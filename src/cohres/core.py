@@ -15,6 +15,7 @@ acquire an azimuthal dependence that a polar-only grid cannot represent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,10 +125,17 @@ def gauss_legendre_grid(order: int) -> AngleGrid:
     """
     if order < 1:
         raise NonPositiveError(f"grid order must be >= 1, got {order}")
+    theta, weights = _gauss_legendre_nodes(order)
+    return AngleGrid(theta.copy(), weights.copy())
+
+
+@functools.lru_cache(maxsize=16)  # a handful of orders in use; 16*order bytes each
+def _gauss_legendre_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (theta, weights) of ``gauss_legendre_grid``, built once per order."""
     x, w = leggauss(order)
     theta = np.arccos(x)[::-1]  # arccos is decreasing; reverse for increasing theta
     weights = 2.0 * math.pi * w[::-1]
-    return AngleGrid(theta, weights)
+    return _frozen(theta), _frozen(weights)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ from .tableio import _cx, _cx_out, _load_object, _state_in, _state_out
 
 __all__ = ["ScenarioConfig", "read_scenario", "write_scenario"]
 
+MAX_GRID_ORDER = 1024  # leggauss(n) builds a dense n x n matrix, 8 MB at the cap
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -49,8 +51,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if not 0.0 <= self.mix <= 1.0:
             raise ValueError(f"mix must lie in [0, 1], got {self.mix!r}")
-        if self.grid_order < 1:
-            raise ValueError(f"grid_order must be >= 1, got {self.grid_order!r}")
+        if not 1 <= self.grid_order <= MAX_GRID_ORDER:
+            raise ValueError(
+                f"grid_order must lie in [1, {MAX_GRID_ORDER}], got {self.grid_order!r}"
+            )
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
 
     def grid(self) -> AngleGrid:

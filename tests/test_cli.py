@@ -294,6 +294,25 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["synth", "--config", "{missing}", "--energy", "nan", "--out", "{out}"], "--energy"),
+            ([*SCAN_UNREAD, "--emin", "0.25", "--emax", "0.26", "--step=-1"], "--step"),
+            ([*ORACLE_UNREAD, "--tol-singular=-1"], "--tol-singular"),
+            ([*ORACLE_UNREAD, "--angle", "180.5"], "--angle"),
+            (["schwartz", "--table", "{missing}", "--channel", "D+HF", "--angle=-1"], "--angle"),
+            ([*ORACLE_UNREAD, "--oracle", "4097"], "--oracle"),
+        ],
+    )
+    def test_flag_domain_reported_by_argparse(self, argv, flag, tmp_path, capsys):
+        argv = [a.format(out=tmp_path / "out", missing=tmp_path / "missing.json") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cohres {argv[0]}: error: argument {flag}: expected " in err
+
     def test_missing_file_is_exit_1(self, tmp_path, capsys):
         assert main(["schwartz", "--table", str(tmp_path / "no.json"), "--channel", "x"]) == 1
 

@@ -108,6 +108,10 @@ class TestEnergyScan:
             energy_scan(cfg, [0.26, 0.25], PAIR)
         with pytest.raises(ValueError):
             energy_scan(cfg, [], PAIR)
+        # a row that fails inside the loop: its amplitudes square to inf
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            energy_scan(cfg, [0.25, 1e305], PAIR)
+        assert str(err.value).startswith("at energy 1e+305 eV: ")
 
     def test_scan_is_deterministic(self, tmp_path):
         cfg = read_scenario(FHD_SCENARIO)

@@ -136,7 +136,34 @@ class TestScenarioIo:
         cfg = read_scenario(FHD_SCENARIO)
         path = tmp_path / "copy.json"
         write_scenario(cfg, path)
+        assert path.read_bytes() == FHD_SCENARIO.read_bytes()
         assert read_scenario(path) == cfg
+
+    def test_grid_order_capped_before_any_grid(self, tmp_path, monkeypatch, capsys):
+        import cohres.core
+        from cohres.cli import main
+        from cohres.scenario import MAX_GRID_ORDER
+
+        def no_grid(order):
+            raise AssertionError(f"a grid of order {order} was built")
+
+        monkeypatch.setattr(cohres.core, "leggauss", no_grid)
+        cfg = json.loads(FHD_SCENARIO.read_text())
+        cfg["grid_order"] = 10**6
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(MalformedFileError, match="grid_order"):
+            read_scenario(path)
+        with pytest.raises(ValueError, match="grid_order"):
+            replace(read_scenario(FHD_SCENARIO), grid_order=MAX_GRID_ORDER + 1)
+        out = tmp_path / "t.json"
+        assert main(["synth", "--config", str(path), "--energy", "0.255", "--out", str(out)]) == 1
+        assert main(
+            ["scan", "--config", str(path), "--emin", "0.25", "--emax", "0.26",
+             "--step", "0.005", "--pair", "D+HF,H+DF", "--out", str(out)]
+        ) == 1
+        assert not out.exists()
+        assert "grid_order" in capsys.readouterr().err
 
     def test_committed_scenario_synthesizes_valid_tables(self):
         from cohres import validate_table
