@@ -179,15 +179,15 @@ def _cmd_control(args) -> int:
     """Extrema of sigma (one channel) or of r = num/den, then the s = 0, 1 limits."""
     table = read_table(args.table)
     num, den = _matrices(args, table)
-    if den is None:  # dividing by 1.0 is exact, so sigma's limits print unchanged
-        tag, rng, den_limits = "sigma", cross_section_extrema(num), (1.0, 1.0)
+    limits = noncoherent_limits(num)
+    if den is None:
+        tag, rng = "sigma", cross_section_extrema(num)
     else:
-        tag = "r"
-        rng = ratio_extrema(num, den, tol_singular=args.tol_singular)
-        den_limits = noncoherent_limits(den)
+        tag, rng = "r", ratio_extrema(num, den, tol_singular=args.tol_singular)
+        limits = (n / d for n, d in zip(limits, noncoherent_limits(den)))
     _print_range(tag, rng)
-    for s, (n, d) in enumerate(zip(noncoherent_limits(num), den_limits)):
-        print(f"{tag}_s{s} = {_fmt(n / d)}")
+    for s, value in enumerate(limits):
+        print(f"{tag}_s{s} = {_fmt(value)}")
     if args.oracle:
         _print_range(f"oracle_{tag}", lattice_extrema(num, den, args.oracle, args.oracle))
     return 0

@@ -15,7 +15,6 @@ acquire an azimuthal dependence that a polar-only grid cannot represent.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +37,7 @@ __all__ = [
 
 WEIGHT_SUM_RTOL = 1e-12
 ENERGY_CLOSURE_ATOL = 1e-12  # eV
+MAX_GRID_ORDER = 1024  # leggauss(n) builds a dense n x n matrix, 8 MB at the cap
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -125,17 +125,12 @@ def gauss_legendre_grid(order: int) -> AngleGrid:
     """
     if order < 1:
         raise NonPositiveError(f"grid order must be >= 1, got {order}")
-    theta, weights = _gauss_legendre_nodes(order)
-    return AngleGrid(theta.copy(), weights.copy())
-
-
-@functools.lru_cache(maxsize=16)  # a handful of orders in use; 16*order bytes each
-def _gauss_legendre_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (theta, weights) of ``gauss_legendre_grid``, built once per order."""
+    if order > MAX_GRID_ORDER:
+        raise ValueError(f"grid order must be <= {MAX_GRID_ORDER}, got {order}")
     x, w = leggauss(order)
     theta = np.arccos(x)[::-1]  # arccos is decreasing; reverse for increasing theta
     weights = 2.0 * math.pi * w[::-1]
-    return _frozen(theta), _frozen(weights)
+    return AngleGrid(theta, weights)
 
 
 @dataclass(frozen=True)

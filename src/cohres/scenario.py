@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
+from .core import MAX_GRID_ORDER, AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
 from .errors import MalformedFileError
 from .resonance import (
     BackgroundChannel,
@@ -26,8 +26,6 @@ from .resonance import (
 from .tableio import _cx, _cx_out, _load_object, _state_in, _state_out
 
 __all__ = ["ScenarioConfig", "read_scenario", "write_scenario"]
-
-MAX_GRID_ORDER = 1024  # leggauss(n) builds a dense n x n matrix, 8 MB at the cap
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ class TestScenarioIo:
     def test_grid_order_capped_before_any_grid(self, tmp_path, monkeypatch, capsys):
         import cohres.core
         from cohres.cli import main
-        from cohres.scenario import MAX_GRID_ORDER
+        from cohres.core import MAX_GRID_ORDER
 
         def no_grid(order):
             raise AssertionError(f"a grid of order {order} was built")
