@@ -24,6 +24,7 @@ import sys
 
 from .control import (
     SINGULAR_TOL,
+    _quotient,
     cross_section_extrema,
     lattice_extrema,
     noncoherent_limits,
@@ -42,16 +43,12 @@ MAX_SCAN_ROWS = 10**6  # a scan row holds ~1.3 KB, so ~1.3 GB at the cap
 
 
 def _print_range(tag: str, rng) -> None:
-    lo_phi = math.degrees(rng.params_at_min.phi12)
-    hi_phi = math.degrees(rng.params_at_max.phi12)
-    print(
-        f"{tag}_min = {_fmt(rng.min_value)} at s = {_fmt(rng.params_at_min.s)}, "
-        f"phi12_deg = {_fmt(lo_phi)}"
-    )
-    print(
-        f"{tag}_max = {_fmt(rng.max_value)} at s = {_fmt(rng.params_at_max.s)}, "
-        f"phi12_deg = {_fmt(hi_phi)}"
-    )
+    for end, value, p in (
+        ("min", rng.min_value, rng.params_at_min),
+        ("max", rng.max_value, rng.params_at_max),
+    ):
+        phi = _fmt(math.degrees(p.phi12))
+        print(f"{tag}_{end} = {_fmt(value)} at s = {_fmt(p.s)}, phi12_deg = {phi}")
     if rng.degenerate:
         print(f"{tag} is independent of the control parameters")
     if rng.unbounded_max:
@@ -184,7 +181,7 @@ def _cmd_control(args) -> int:
         tag, rng = "sigma", cross_section_extrema(num)
     else:
         tag, rng = "r", ratio_extrema(num, den, tol_singular=args.tol_singular)
-        limits = (n / d for n, d in zip(limits, noncoherent_limits(den)))
+        limits = map(_quotient, limits, noncoherent_limits(den))
     _print_range(tag, rng)
     for s, value in enumerate(limits):
         print(f"{tag}_s{s} = {_fmt(value)}")

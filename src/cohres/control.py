@@ -128,9 +128,16 @@ def noncoherent_limits(m: XsecMatrix) -> tuple[float, float]:
     return m.sigma11, m.sigma22
 
 
+def _quotient(n: float, d: float) -> float:
+    """n / d for cross sections n, d >= 0: +inf when only d is 0, nan when both are."""
+    if d == 0.0:
+        return math.inf if n > 0.0 else math.nan
+    return n / d
+
+
 def controlled_ratio(num: XsecMatrix, den: XsecMatrix, p: ControlParams) -> float:
-    """Ratio of two controlled cross sections at one control point."""
-    return controlled_cross_section(num, p) / controlled_cross_section(den, p)
+    """num/den at one control point: +inf where only den vanishes, nan where both do."""
+    return _quotient(controlled_cross_section(num, p), controlled_cross_section(den, p))
 
 
 def _null_params(m11: float, m22: float, m12: complex) -> ControlParams:

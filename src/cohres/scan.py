@@ -19,11 +19,12 @@ from typing import Sequence
 
 from .control import (
     ControlRange,
+    _quotient,
     cross_section_extrema,
     noncoherent_limits,
     ratio_extrema,
 )
-from .errors import UnknownChannelError
+from .errors import DegenerateChannelError, UnknownChannelError
 from .resonance import synthesis_basis, synthesize_table
 from .scenario import ScenarioConfig
 from .tableio import _fmt
@@ -49,8 +50,8 @@ class RatioScan:
     """Ratio results for the designated channel pair at one energy.
 
     ``r_max`` is +inf when the denominator can be interfered to zero while
-    the numerator cannot; R = r_max / r_min follows suit.  The
-    non-coherent counterparts restrict to s in {0, 1}.
+    the numerator cannot; r_nc_min/max take s in {0, 1} only.  A quotient is
+    +inf over a zero denominator, nan over 0/0; a nan r_nc makes both nan.
     """
 
     numerator: str
@@ -69,15 +70,11 @@ class RatioScan:
 
     @property
     def coherent_factor(self) -> float:
-        if self.r_min == 0.0:
-            return math.inf
-        return self.r_max / self.r_min
+        return _quotient(self.r_max, self.r_min)
 
     @property
     def noncoherent_factor(self) -> float:
-        if self.r_nc_min == 0.0:
-            return math.inf
-        return self.r_nc_max / self.r_nc_min
+        return _quotient(self.r_nc_max, self.r_nc_min)
 
 
 @dataclass(frozen=True)
@@ -90,13 +87,14 @@ class ScanRow:
         for c in self.channels:
             if c.channel == label:
                 return c
-        raise KeyError(label)
+        raise UnknownChannelError(f"no channel {label!r} in scan row")
 
 
 def _safe_schwartz(m: XsecMatrix) -> float:
-    if m.sigma11 <= 0.0 or m.sigma22 <= 0.0:
+    try:
+        return schwartz_ratio(m)
+    except DegenerateChannelError:
         return math.nan
-    return schwartz_ratio(m)
 
 
 def _scan_row(energy: float, matrices: dict[str, XsecMatrix], pair: tuple[str, str]) -> ScanRow:
@@ -116,7 +114,9 @@ def _scan_row(energy: float, matrices: dict[str, XsecMatrix], pair: tuple[str, s
         )
     num, den = matrices[pair[0]], matrices[pair[1]]
     rr = ratio_extrema(num, den)
-    nc = (num.sigma11 / den.sigma11, num.sigma22 / den.sigma22)
+    nc = tuple(map(_quotient, noncoherent_limits(num), noncoherent_limits(den)))
+    if any(map(math.isnan, nc)):
+        nc = (math.nan, math.nan)  # min and max would keep or drop one nan by position
     ratio = RatioScan(
         numerator=pair[0],
         denominator=pair[1],

@@ -58,12 +58,12 @@ class ScenarioConfig:
     def grid(self) -> AngleGrid:
         return gauss_legendre_grid(self.grid_order)
 
-    def table_at(self, energy: float, grid: AngleGrid | None = None) -> AmplitudeTable:
+    def table_at(self, energy: float) -> AmplitudeTable:
         """Synthesize the amplitude table at one total energy."""
         return synthesize_table(
             self.resonance,
             self.background,
-            grid if grid is not None else self.grid(),
+            self.grid(),
             energy,
             self.initial_pair,
             self.mix,

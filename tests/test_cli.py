@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import subprocess
@@ -127,6 +128,23 @@ class TestControlCommand:
         assert main(["control", "--table", str(fhd_table), "--channel", "X+Y"]) == 1
         assert "no channel" in capsys.readouterr().err
 
+    def test_zero_denominator_limit_prints_inf(self, fhd_table, tmp_path, capsys):
+        # H+DF closed from the first initial state: its sigma11 is 0
+        doc = json.loads(fhd_table.read_text())
+        block = next(ch for ch in doc["channels"] if ch["arrangement"] == "H+DF")
+        for re_or_im in (0, 1):
+            block["amplitudes"][re_or_im::4] = [0.0] * len(block["amplitudes"][re_or_im::4])
+        table = tmp_path / "closed.json"
+        table.write_text(json.dumps(doc))
+        assert main(["control", "--table", str(table), "--num", "D+HF", "--den", "H+DF"]) == 0
+        out = capsys.readouterr().out
+        t = read_table(table)
+        num, den = cross_section_matrix(t, "D+HF"), cross_section_matrix(t, "H+DF")
+        assert den.sigma11 == 0.0 < num.sigma11
+        assert parse_line(r"^r_max = (\S+) at", out).group(1) == "inf"
+        assert parse_line(r"^r_s0 = (\S+)$", out).group(1) == "inf"
+        assert float(parse_line(r"^r_s1 = (\S+)$", out).group(1)) == num.sigma22 / den.sigma22
+
     def test_tol_singular_flag_reaches_solver(self, fhd_table, capsys):
         # an absurdly loose threshold treats the healthy denominator as
         # singular, flipping the result to an unbounded maximum
@@ -188,6 +206,27 @@ class TestScanCommand:
         write_scan_csv(energy_scan(cfg, energies, ("D+HF", "H+DF")), out_lib)
         assert out_cli.read_bytes() == out_lib.read_bytes()
 
+    def test_closed_denominator_column_writes_inf(self, tmp_path, capsys):
+        # pure direct scattering with H+DF closed from the first initial state
+        doc = json.loads(FHD_SCENARIO.read_text())
+        doc["mix"] = 0.0
+        for ch in doc["background"]["channels"]:
+            if ch["arrangement"] == "H+DF":
+                for state in ch["states"]:
+                    state["column_weights"] = [[0.0, 0.0], [1.0, 0.0]]
+        config, out = tmp_path / "closed.json", tmp_path / "scan.csv"
+        config.write_text(json.dumps(doc))
+        argv = ["scan", "--config", str(config), "--emin", "0.25", "--emax", "0.26",
+                "--step", "0.005", "--pair", "D+HF,H+DF", "--out", str(out)]
+        assert main(argv) == 0
+        assert "3 rows" in capsys.readouterr().out
+        header, *body = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(body) == 3
+        for rec in body:
+            for col in ("r_nc_max", "r_max", "R", "R_nc"):
+                assert rec[header.index(col)] == "inf"
+            assert rec[header.index("schwartz[H+DF]")] == "nan"
+
     def test_bad_pair_is_domain_error(self, tmp_path, capsys):
         rc = main(
             [
@@ -215,8 +254,6 @@ class TestValidateCommand:
         assert capsys.readouterr().out.strip() == "ok"
 
     def test_invalid_table_lists_violations(self, fhd_table, tmp_path, capsys):
-        import json
-
         doc = json.loads(fhd_table.read_text())
         doc["angle_grid"]["weights_sr"] = [w / 2 for w in doc["angle_grid"]["weights_sr"]]
         bad = tmp_path / "bad.json"

@@ -17,6 +17,7 @@ from cohres import (
     ratio_extrema,
     schwartz_ratio,
 )
+from cohres.control import _quotient
 from conftest import random_psd_matrix, ridged_psd_matrix
 
 
@@ -131,6 +132,14 @@ class TestRatioExtrema:
         assert rr.min_value == pytest.approx(0.2, rel=1e-12)
         at_min = controlled_ratio(num, den, rr.params_at_min)
         assert at_min == pytest.approx(rr.min_value, rel=1e-9)
+        # at the denominator's zero the ratio is +inf, or at least huge
+        assert controlled_ratio(num, den, rr.params_at_max) > 1e12 * rr.min_value
+
+    def test_quotient_rule(self):
+        assert _quotient(3.0, 2.0) == 1.5
+        assert _quotient(0.0, 2.0) == 0.0
+        assert _quotient(1e-300, 0.0) == math.inf
+        assert math.isnan(_quotient(0.0, 0.0))
 
     def test_zero_denominator_raises(self):
         with pytest.raises(ZeroDenominatorError):

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cohres import (
     ResonanceSpec,
     ScenarioConfig,
     UnknownChannelError,
+    XsecMatrix,
     controlled_ratio,
     cross_section_matrix,
     energy_scan,
@@ -112,6 +114,52 @@ class TestEnergyScan:
         with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
             energy_scan(cfg, [0.25, 1e305], PAIR)
         assert str(err.value).startswith("at energy 1e+305 eV: ")
+
+    def test_unknown_row_channel(self):
+        row = energy_scan(read_scenario(FHD_SCENARIO), ENERGIES[:1], PAIR)[0]
+        with pytest.raises(UnknownChannelError, match="missing"):
+            row.channel("missing")
+
+    def test_zero_numerator_factors_are_nan(self, tmp_path):
+        # every D+HF coupling and direct term is zero, so r_min = r_max = 0
+        cfg = read_scenario(FHD_SCENARIO)
+        exits = tuple(
+            replace(ch, states=tuple(replace(s, coupling=0) for s in ch.states))
+            if ch.arrangement == "D+HF" else ch
+            for ch in cfg.resonance.exits
+        )
+        direct = tuple(
+            replace(ch, states=tuple(replace(s, amplitude=0, slope=0) for s in ch.states))
+            if ch.arrangement == "D+HF" else ch
+            for ch in cfg.background.channels
+        )
+        cfg = replace(
+            cfg,
+            resonance=replace(cfg.resonance, exits=exits),
+            background=replace(cfg.background, channels=direct),
+        )
+        rows = energy_scan(cfg, ENERGIES[:3], PAIR)
+        for r in rows:
+            assert r.ratio.extrema.degenerate
+            assert r.ratio.r_min == r.ratio.r_max == r.ratio.r_nc_min == r.ratio.r_nc_max == 0.0
+            assert math.isnan(r.ratio.coherent_factor)
+            assert math.isnan(r.ratio.noncoherent_factor)
+            assert math.isnan(r.channel("D+HF").schwartz)
+        path = tmp_path / "scan.csv"
+        write_scan_csv(rows, path)
+        header, *body = [line.split(",") for line in path.read_text().splitlines()]
+        for rec in body:
+            assert rec[header.index("R")] == rec[header.index("R_nc")] == "nan"
+
+    @pytest.mark.parametrize("zero", ["sigma11", "sigma22"])
+    def test_nan_limit_makes_both_nc_bounds_nan(self, zero):
+        # both channels vanish at one endpoint, where r is 0/0; the other gives 2
+        den = XsecMatrix("B", "integral", **{"sigma11": 1.0, "sigma22": 1.0, zero: 0.0}, sigma12=0j)
+        num = XsecMatrix("A", "integral", 2.0 * den.sigma11, 2.0 * den.sigma22, 0j)
+        ratio = _scan_row(0.25, {"A": num, "B": den}, ("A", "B")).ratio
+        assert math.isnan(ratio.r_nc_min)
+        assert math.isnan(ratio.r_nc_max)
+        assert math.isnan(ratio.noncoherent_factor)
 
     def test_scan_is_deterministic(self, tmp_path):
         cfg = read_scenario(FHD_SCENARIO)
