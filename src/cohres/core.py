@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 WEIGHT_SUM_RTOL = 1e-12
-ENERGY_CLOSURE_ATOL = 1e-12  # eV
 MAX_GRID_ORDER = 1024  # leggauss(n) builds a dense n x n matrix, 8 MB at the cap
 
 

@@ -210,7 +210,9 @@ def resonance_branching_ratio(spec: ResonanceSpec, channel_a: str, channel_b: st
     return flux(channel_a) / flux(channel_b)
 
 
-def _check_coverage(res: ResonanceSpec, bg: BackgroundSpec) -> None:
+def _check_specs(res: ResonanceSpec, bg: BackgroundSpec, mix: float) -> None:
+    if not 0.0 <= mix <= 1.0:
+        raise ValueError(f"mix must lie in [0, 1], got {mix!r}")
     res_list = [(ch.arrangement, tuple(s.state for s in ch.states)) for ch in res.exits]
     bg_list = [(ch.arrangement, tuple(s.state for s in ch.states)) for ch in bg.channels]
     if res_list != bg_list:
@@ -248,9 +250,7 @@ def synthesize_table(
     synthesized: the amplitudes are then bw(E)*P + D + (E - E_ref)*S,
     equal to the direct evaluation to rounding.
     """
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError(f"mix must lie in [0, 1], got {mix!r}")
-    _check_coverage(res, bg)
+    _check_specs(res, bg, mix)
     if basis is not None:
         return _table_from_basis(res, bg, grid, energy, initial_pair, basis)
 
@@ -303,9 +303,7 @@ def synthesis_basis(
     it is computed once for a whole scan.  Channels follow ``res.exits``;
     the ``mix`` and coverage checks are those of ``synthesize_table``.
     """
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError(f"mix must lie in [0, 1], got {mix!r}")
-    _check_coverage(res, bg)
+    _check_specs(res, bg, mix)
 
     x = np.cos(grid.nodes)
     entrance = np.array(res.entrance)

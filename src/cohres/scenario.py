@@ -21,6 +21,7 @@ from .resonance import (
     ExitChannel,
     ExitState,
     ResonanceSpec,
+    _check_specs,
     synthesize_table,
 )
 from .tableio import _cx, _cx_out, _load_object, _state_in, _state_out
@@ -47,8 +48,7 @@ class ScenarioConfig:
     energy_offset: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.mix <= 1.0:
-            raise ValueError(f"mix must lie in [0, 1], got {self.mix!r}")
+        _check_specs(self.resonance, self.background, self.mix)
         if not 1 <= self.grid_order <= MAX_GRID_ORDER:
             raise ValueError(
                 f"grid_order must lie in [1, {MAX_GRID_ORDER}], got {self.grid_order!r}"

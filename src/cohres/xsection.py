@@ -35,9 +35,7 @@ __all__ = [
     "schwartz_ratio",
 ]
 
-DIAG_SLACK = 1e-12  # absolute, clamps roundoff-negative diagonals
-SCHWARTZ_SLACK = 1e-10  # relative to sigma11 + sigma22
-EVAL_SLACK = 1e-10  # relative to sigma11 + sigma22, for the quadratic form
+SLACK = 1e-10  # relative to sigma11 + sigma22: what XsecMatrix forgives as rounding
 
 
 def _reduce_phase(phi: float) -> float:
@@ -81,6 +79,11 @@ class XsecMatrix:
     ``kind`` is "integral" (units A^2) or "differential" (units A^2/sr), in
     which case ``node`` records the angle-grid index.  Only the upper
     triangle is stored; sigma21 is conj(sigma12) by definition.
+
+    Only this constructor decides that M is PSD within ``SLACK * trace``
+    (~4.5e5 eps, far above a Gram sum's rounding).  A diagonal that far
+    below 0 is stored as 0, |sigma12| may exceed sqrt(sigma11*sigma22) by
+    as much, and more raises ValueError.  Functions of M only clamp.
     """
 
     channel: str
@@ -100,14 +103,14 @@ class XsecMatrix:
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
             if v < 0.0:
-                if v < -DIAG_SLACK:
-                    raise ValueError(f"{name} = {v!r} is negative beyond roundoff slack")
+                if v < -SLACK * (float(self.sigma11) + float(self.sigma22)):
+                    raise ValueError(f"{name} = {v!r} is negative beyond the trace's slack")
                 v = 0.0
             object.__setattr__(self, name, v)
         s12 = complex(self.sigma12)
         if not (math.isfinite(s12.real) and math.isfinite(s12.imag)):
             raise ValueError(f"sigma12 must be finite, got {s12!r}")
-        bound = math.sqrt(self.sigma11 * self.sigma22) + SCHWARTZ_SLACK * self.trace
+        bound = math.sqrt(self.sigma11 * self.sigma22) + SLACK * self.trace
         if abs(s12) > bound:
             raise ValueError(
                 f"|sigma12| = {abs(s12)!r} violates the Schwartz bound "
@@ -198,18 +201,10 @@ def quadratic_form(
 def controlled_cross_section(m: XsecMatrix, p: ControlParams) -> float:
     """Cross section of the superposition at control point (s, phi12).
 
-    The ``quadratic_form`` at the unit coefficients of ``p``.  Tiny
-    negative roundoff is clamped to zero; a value below the roundoff slack
-    indicates an inconsistent matrix and raises.
+    The ``quadratic_form`` at the unit coefficients of ``p``, clamped at 0;
+    never raises, since ``XsecMatrix`` has accepted ``m``.
     """
-    value = float(quadratic_form(m, p.s, p.phi12))
-    if value < 0.0:
-        if value < -EVAL_SLACK * m.trace:
-            raise ValueError(
-                f"cross section {value!r} negative beyond slack; matrix inconsistent"
-            )
-        value = 0.0
-    return value
+    return max(float(quadratic_form(m, p.s, p.phi12)), 0.0)
 
 
 def schwartz_ratio(m: XsecMatrix) -> float:
@@ -217,16 +212,12 @@ def schwartz_ratio(m: XsecMatrix) -> float:
 
     Equals 1 exactly when every final state at every angle is reached
     through one common intermediate (the amplitude columns are then
-    proportional), and drops below 1 in the presence of direct scattering.
-    Raises DegenerateChannelError when either diagonal vanishes.
+    proportional), and drops below 1 in the presence of direct scattering;
+    clamped to 1, as ``XsecMatrix``'s slack admits a little more.  Raises
+    DegenerateChannelError when either diagonal vanishes.
     """
     if m.sigma11 <= 0.0 or m.sigma22 <= 0.0:
         raise DegenerateChannelError(
             f"schwartz ratio undefined: sigma11={m.sigma11!r} sigma22={m.sigma22!r}"
         )
-    ratio = abs(m.sigma12) / math.sqrt(m.sigma11 * m.sigma22)
-    if ratio > 1.0:
-        if ratio > 1.0 + 1e-10:
-            raise ValueError(f"schwartz ratio {ratio!r} above 1 beyond slack")
-        ratio = 1.0
-    return ratio
+    return min(abs(m.sigma12) / math.sqrt(m.sigma11 * m.sigma22), 1.0)

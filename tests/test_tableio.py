@@ -165,6 +165,31 @@ class TestScenarioIo:
         assert not out.exists()
         assert "grid_order" in capsys.readouterr().err
 
+    def test_mismatched_specs_rejected_before_any_grid(self, tmp_path, monkeypatch, capsys):
+        import cohres.core
+        from cohres.cli import main
+
+        def no_grid(order):
+            raise AssertionError(f"a grid of order {order} was built")
+
+        monkeypatch.setattr(cohres.core, "leggauss", no_grid)
+        cfg = json.loads(FHD_SCENARIO.read_text())
+        h_df = next(ch for ch in cfg["background"]["channels"] if ch["arrangement"] == "H+DF")
+        h_df["states"].pop()
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(MalformedFileError, match="SpecMismatchError") as err:
+            read_scenario(path)
+        assert str(path) in str(err.value)
+        out = tmp_path / "t.json"
+        assert main(["synth", "--config", str(path), "--energy", "0.255", "--out", str(out)]) == 1
+        assert main(
+            ["scan", "--config", str(path), "--emin", "0.25", "--emax", "0.26",
+             "--step", "0.005", "--pair", "D+HF,H+DF", "--out", str(out)]
+        ) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count(f"cohres: error: {path}: SpecMismatchError") == 2
+
     def test_committed_scenario_synthesizes_valid_tables(self):
         from cohres import validate_table
 

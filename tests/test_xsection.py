@@ -15,6 +15,7 @@ from cohres import (
     UnknownChannelError,
     XsecMatrix,
     controlled_cross_section,
+    cross_section_extrema,
     cross_section_matrix,
     differential_matrix,
     schwartz_ratio,
@@ -131,6 +132,12 @@ class TestXsecMatrixInvariants:
         with pytest.raises(ValueError):
             XsecMatrix("X", "integral", 1.0, 1.0, 2.0)
 
+    def test_diagonal_slack_is_relative_to_the_trace(self):
+        m = XsecMatrix("X", "integral", -1e-9, 1000.0, 0.0)
+        assert m.sigma11 == 0.0 and m.sigma22 == 1000.0
+        with pytest.raises(ValueError, match="sigma11"):
+            XsecMatrix("X", "integral", -1e-13, 1e-20, 0.0)
+
     def test_gram_matrices_are_psd(self, rng):
         # 1000 random tables; the assembled matrix must be PSD
         for _ in range(1000):
@@ -183,6 +190,12 @@ class TestControlledCrossSection:
             quad, rel=1e-12, abs=1e-12 * m.trace
         )
 
+    def test_accepted_boundary_matrix_never_raises(self):
+        # |sigma12| up to the constructor's slack above sqrt(sigma11*sigma22):
+        # the form dips below 0 at its minimiser and is clamped, not rejected
+        m = XsecMatrix("X", "integral", 0.5, 0.5, 0.5 + 1e-10)
+        assert controlled_cross_section(m, cross_section_extrema(m).params_at_min) == 0.0
+
 
 class TestControlParams:
     def test_phase_reduced_mod_two_pi(self):
@@ -204,6 +217,12 @@ class TestSchwartzRatio:
 
     def test_zero_interference(self):
         assert schwartz_ratio(XsecMatrix("X", "integral", 1.0, 2.0, 0.0)) == 0.0
+
+    def test_accepted_matrix_above_the_bound_clamps_to_one(self):
+        # sqrt(s11*s22) = 1e-4 and the slack is 1e-10*trace, so the ratio is
+        # 1 + 5e-7 before the clamp
+        m = XsecMatrix("X", "integral", 1.0, 1e-8, 1e-4 + 5e-11)
+        assert schwartz_ratio(m) == 1.0
 
     def test_degenerate_channel(self):
         with pytest.raises(DegenerateChannelError):
