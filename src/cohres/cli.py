@@ -13,7 +13,9 @@ Angles and phases are degrees here and in the scan CSV's
 and the library are radians.  Each flag's valid range lives in its
 argparse type, so a bad value is a usage error before any file is read.
 All numbers print with repr, so CLI output equals library values exactly.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error, 2 usage error.  A domain error is a
+``CohresError`` or an ``OSError`` and prints as one line; any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .control import (
     ratio_extrema,
 )
 from .errors import CohresError, TableValidationError
-from .scan import energy_scan, write_scan_csv
+from .scan import _check_energies, energy_scan, write_scan_csv
 from .scenario import read_scenario
 from .tableio import _fmt, read_table, write_table
 from .xsection import cross_section_matrix, differential_matrix, schwartz_ratio
@@ -211,13 +213,11 @@ def _scan_energies(parser, args) -> list[float]:
         parser.error(
             f"--emin, --emax and --step give {span + 1.0!r} energies; at most {MAX_SCAN_ROWS}"
         )
-    n = int(round(span)) + 1
-    energies = [args.emin + i * args.step for i in range(n)]
-    if not math.isfinite(energies[-1]) or any(b <= a for a, b in zip(energies, energies[1:])):
-        parser.error(
-            f"--step {args.step!r} does not give finite, strictly increasing energies "
-            f"from --emin {args.emin!r}"
-        )
+    energies = [args.emin + i * args.step for i in range(round(span) + 1)]
+    try:
+        _check_energies(energies)
+    except CohresError as exc:
+        parser.error(f"--step {args.step!r} from --emin {args.emin!r}: {exc}")
     return energies
 
 
@@ -251,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         args.energies = _scan_energies(parser, args)
     try:
         return args.handler(args)
-    except (CohresError, OSError, ValueError) as exc:
+    except (CohresError, OSError) as exc:
         print(f"cohres: error: {exc}", file=sys.stderr)
         return 1
 

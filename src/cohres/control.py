@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import ZeroDenominatorError
+from .errors import CohresError, ZeroDenominatorError
 from .xsection import ControlParams, XsecMatrix, controlled_cross_section, quadratic_form
 
 __all__ = [
@@ -251,7 +251,7 @@ def lattice_extrema(
     solves anything, it just evaluates.
     """
     if n_s < 2 or n_phi < 2:
-        raise ValueError(f"need n_s, n_phi >= 2, got {n_s}, {n_phi}")
+        raise CohresError(f"need n_s, n_phi >= 2, got {n_s}, {n_phi}")
     s = np.linspace(0.0, 1.0, n_s)
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     s_col, phi_row = s[:, None], phi[None, :]

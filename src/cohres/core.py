@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .constants import FOUR_PI, wavenumber
-from .errors import ChannelClosedError, NonPositiveError, UnknownChannelError
+from .errors import ChannelClosedError, CohresError, NonPositiveError, UnknownChannelError
 
 __all__ = [
     "ChannelState",
@@ -56,11 +56,11 @@ class ChannelState:
 
     def __post_init__(self):
         if not self.arrangement:
-            raise ValueError("arrangement label must be nonempty")
+            raise CohresError("arrangement label must be nonempty")
         if self.v < 0 or self.j < 0:
-            raise ValueError(f"v and j must be >= 0, got v={self.v} j={self.j}")
+            raise CohresError(f"v and j must be >= 0, got v={self.v} j={self.j}")
         if abs(self.m) > self.j:
-            raise ValueError(f"|m| <= j required, got j={self.j} m={self.m}")
+            raise CohresError(f"|m| <= j required, got j={self.j} m={self.m}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def gauss_legendre_grid(order: int) -> AngleGrid:
     if order < 1:
         raise NonPositiveError(f"grid order must be >= 1, got {order}")
     if order > MAX_GRID_ORDER:
-        raise ValueError(f"grid order must be <= {MAX_GRID_ORDER}, got {order}")
+        raise CohresError(f"grid order must be <= {MAX_GRID_ORDER}, got {order}")
     x, w = leggauss(order)
     theta = np.arccos(x)[::-1]  # arccos is decreasing; reverse for increasing theta
     weights = 2.0 * math.pi * w[::-1]

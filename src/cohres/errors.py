@@ -1,39 +1,49 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every rejection of input, whether from a file, a flag or a library call,
+is a ``CohresError``.  The command line prints one as a single
+``cohres: error:`` line and exits 1; anything else propagates as a bug.
+"""
 
 
-class CohresError(Exception):
-    """Base class for domain errors raised by this package."""
+class CohresError(ValueError):
+    """Base class for domain errors raised by this package.
+
+    It is a ``ValueError``, so ``except ValueError`` catches every class here.
+    """
 
 
-class NonPositiveError(CohresError, ValueError):
+class NonPositiveError(CohresError):
     """A quantity that must be strictly positive was not."""
 
 
-class ChannelClosedError(CohresError, ValueError):
+class ChannelClosedError(CohresError):
     """The second superposition component has no kinetic energy left."""
 
 
 class UnknownChannelError(CohresError, KeyError):
     """An arrangement label is absent from a table or spec."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
-class DegenerateChannelError(CohresError, ValueError):
+
+class DegenerateChannelError(CohresError):
     """A diagnostic is undefined because a diagonal cross section vanishes."""
 
 
-class ZeroDenominatorError(CohresError, ValueError):
+class ZeroDenominatorError(CohresError):
     """Ratio objective requested against an identically zero denominator."""
 
 
-class SpecMismatchError(CohresError, ValueError):
+class SpecMismatchError(CohresError):
     """Resonance and background specs do not cover the same states."""
 
 
-class MalformedFileError(CohresError, ValueError):
+class MalformedFileError(CohresError):
     """A file failed to parse; the message carries the locus."""
 
 
-class TableValidationError(CohresError, ValueError):
+class TableValidationError(CohresError):
     """A file parsed but the resulting table violates invariants."""
 
     def __init__(self, violations: list[str]):

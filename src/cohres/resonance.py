@@ -19,7 +19,7 @@ into the exit couplings.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import legval
 
 from .constants import HBAR_EV_FS, TWO_PI
 from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
-from .errors import NonPositiveError, SpecMismatchError, UnknownChannelError
+from .errors import CohresError, NonPositiveError, SpecMismatchError, UnknownChannelError
 
 __all__ = [
     "ExitState",
@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+def _require_finite(**fields) -> None:
+    """Raise CohresError for the first field, a number or a tuple of them, holding nan or inf."""
+    for name, value in fields.items():
+        if not all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise CohresError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExitState:
     """Decay of the intermediate into one final state.
@@ -62,8 +69,9 @@ class ExitState:
     def __post_init__(self):
         object.__setattr__(self, "coupling", complex(self.coupling))
         object.__setattr__(self, "shape", tuple(float(c) for c in self.shape))
+        _require_finite(coupling=self.coupling, shape=self.shape)
         if not self.shape:
-            raise ValueError("angular shape needs at least one Legendre coefficient")
+            raise CohresError("angular shape needs at least one Legendre coefficient")
 
 
 @dataclass(frozen=True)
@@ -91,14 +99,17 @@ class ResonanceSpec:
     exits: tuple[ExitChannel, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entrance", tuple(complex(g) for g in self.entrance))
+        _require_finite(
+            epsilon_r=self.epsilon_r, gamma_width=self.gamma_width, entrance=self.entrance
+        )
         if self.gamma_width <= 0.0:
             raise NonPositiveError(f"gamma_width must be > 0, got {self.gamma_width!r}")
-        object.__setattr__(self, "entrance", tuple(complex(g) for g in self.entrance))
         object.__setattr__(self, "exits", tuple(self.exits))
         if len(self.entrance) != 2:
-            raise ValueError("entrance must couple exactly two initial states")
+            raise CohresError("entrance must couple exactly two initial states")
         if not any(s.coupling != 0 for ch in self.exits for s in ch.states):
-            raise ValueError("at least one exit coupling must be nonzero")
+            raise CohresError("at least one exit coupling must be nonzero")
 
     @property
     def complex_energy(self) -> complex:
@@ -133,14 +144,16 @@ class BackgroundState:
         object.__setattr__(
             self, "column_weights", tuple(complex(w) for w in self.column_weights)
         )
+        _require_finite(
+            amplitude=self.amplitude,
+            slope=self.slope,
+            shape=self.shape,
+            column_weights=self.column_weights,
+        )
         if not self.shape:
-            raise ValueError("angular shape needs at least one Legendre coefficient")
+            raise CohresError("angular shape needs at least one Legendre coefficient")
         if len(self.column_weights) != 2:
-            raise ValueError("column_weights must have exactly two entries")
-        for name in ("amplitude", "slope"):
-            z = getattr(self, name)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"{name} must be finite, got {z!r}")
+            raise CohresError("column_weights must have exactly two entries")
 
 
 @dataclass(frozen=True)
@@ -160,6 +173,7 @@ class BackgroundSpec:
     channels: tuple[BackgroundChannel, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        _require_finite(reference_energy=self.reference_energy)
         object.__setattr__(self, "channels", tuple(self.channels))
 
 
@@ -212,7 +226,7 @@ def resonance_branching_ratio(spec: ResonanceSpec, channel_a: str, channel_b: st
 
 def _check_specs(res: ResonanceSpec, bg: BackgroundSpec, mix: float) -> None:
     if not 0.0 <= mix <= 1.0:
-        raise ValueError(f"mix must lie in [0, 1], got {mix!r}")
+        raise CohresError(f"mix must lie in [0, 1], got {mix!r}")
     res_list = [(ch.arrangement, tuple(s.state for s in ch.states)) for ch in res.exits]
     bg_list = [(ch.arrangement, tuple(s.state for s in ch.states)) for ch in bg.channels]
     if res_list != bg_list:
@@ -330,7 +344,7 @@ def _table_from_basis(
 ) -> AmplitudeTable:
     shapes = [(3, len(ch.states), len(grid), 2) for ch in res.exits]
     if [np.shape(b) for b in basis] != shapes:
-        raise ValueError(
+        raise CohresError(
             f"basis shapes {[np.shape(b) for b in basis]} do not match the specs "
             f"and grid, expected {shapes}"
         )

@@ -24,7 +24,7 @@ from .control import (
     noncoherent_limits,
     ratio_extrema,
 )
-from .errors import DegenerateChannelError, UnknownChannelError
+from .errors import CohresError, DegenerateChannelError, UnknownChannelError
 from .resonance import synthesis_basis, synthesize_table
 from .scenario import ScenarioConfig
 from .tableio import _fmt
@@ -127,6 +127,17 @@ def _scan_row(energy: float, matrices: dict[str, XsecMatrix], pair: tuple[str, s
     return ScanRow(energy=energy, channels=tuple(channels), ratio=ratio)
 
 
+def _check_energies(energies: list[float]) -> None:
+    """The rule for a scan's energies, which ``cohres scan`` checks before reading."""
+    if not energies:
+        raise CohresError("energies must be nonempty")
+    bad = next((e for e in energies if not math.isfinite(e)), None)
+    if bad is not None:
+        raise CohresError(f"energies must be finite, got {bad!r}")
+    if any(b <= a for a, b in zip(energies, energies[1:])):
+        raise CohresError("energies must be strictly increasing")
+
+
 def energy_scan(
     cfg: ScenarioConfig,
     energies: Sequence[float],
@@ -137,17 +148,12 @@ def energy_scan(
     The scenario's ``synthesis_basis`` is computed once; each energy's
     table is combined from it and integrated by ``cross_section_matrix``.
     Raises UnknownChannelError when a label of ``channel_pair`` is not a
-    scenario channel.  Errors from a row's table, matrices and solvers
-    propagate annotated with the offending energy.
+    scenario channel.  A row whose table, matrices or solvers raise a
+    CohresError or an ArithmeticError raises a CohresError that names the
+    energy, chained to the original.
     """
     energies = list(energies)
-    if not energies:
-        raise ValueError("energies must be nonempty")
-    bad = next((e for e in energies if not math.isfinite(e)), None)
-    if bad is not None:
-        raise ValueError(f"energies must be finite, got {bad!r}")
-    if any(b <= a for a, b in zip(energies, energies[1:])):
-        raise ValueError("energies must be strictly increasing")
+    _check_energies(energies)
     known = cfg.product_channels()
     for label in channel_pair:
         if label not in known:
@@ -163,9 +169,8 @@ def energy_scan(
             table = synthesize_table(res, bg, grid, e, cfg.initial_pair, cfg.mix, basis=basis)
             matrices = {ch: cross_section_matrix(table, ch) for ch in known}
             rows.append(_scan_row(e, matrices, pair))
-        except Exception as exc:
-            exc.args = (f"at energy {e!r} eV: {exc}",)
-            raise
+        except (CohresError, ArithmeticError) as exc:
+            raise CohresError(f"at energy {e!r} eV: {exc}") from exc
     return rows
 
 
@@ -197,7 +202,7 @@ def scan_csv_header(pair: tuple[str, str]) -> list[str]:
 def write_scan_csv(rows: Sequence[ScanRow], path: str | Path) -> None:
     """Emit the scan as plot-ready CSV (header mandatory, "inf" for unbounded)."""
     if not rows:
-        raise ValueError("nothing to write")
+        raise CohresError("nothing to write")
     pair = (rows[0].ratio.numerator, rows[0].ratio.denominator)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

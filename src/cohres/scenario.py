@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import MAX_GRID_ORDER, AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
-from .errors import MalformedFileError
+from .errors import CohresError, MalformedFileError
 from .resonance import (
     BackgroundChannel,
     BackgroundSpec,
@@ -24,7 +24,7 @@ from .resonance import (
     _check_specs,
     synthesize_table,
 )
-from .tableio import _cx, _cx_out, _load_object, _state_in, _state_out
+from .tableio import _cx, _cx_out, _int_in, _load_object, _read_text, _state_in, _state_out
 
 __all__ = ["ScenarioConfig", "read_scenario", "write_scenario"]
 
@@ -50,7 +50,7 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_specs(self.resonance, self.background, self.mix)
         if not 1 <= self.grid_order <= MAX_GRID_ORDER:
-            raise ValueError(
+            raise CohresError(
                 f"grid_order must lie in [1, {MAX_GRID_ORDER}], got {self.grid_order!r}"
             )
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
@@ -176,7 +176,7 @@ def _scenario_from_dict(doc: dict, where: str = "scenario") -> ScenarioConfig:
             resonance=resonance,
             background=background,
             mix=float(doc["mix"]),
-            grid_order=int(doc["grid_order"]),
+            grid_order=_int_in(doc, "grid_order"),
             initial_pair=(
                 _state_in(pair[0], f"{where}.initial_pair"),
                 _state_in(pair[1], f"{where}.initial_pair"),
@@ -186,7 +186,7 @@ def _scenario_from_dict(doc: dict, where: str = "scenario") -> ScenarioConfig:
         )
     except MalformedFileError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{where}: {exc!r}") from exc
 
 
@@ -198,5 +198,5 @@ def write_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
 
 def read_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
-    doc = _load_object(path.read_text(encoding="utf-8"), str(path))
+    doc = _load_object(_read_text(path), str(path))
     return _scenario_from_dict(doc, where=str(path))

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState, validate_table
-from .errors import MalformedFileError, TableValidationError
+from .errors import CohresError, MalformedFileError, TableValidationError
 
 __all__ = ["write_table", "read_table", "table_to_json", "table_from_json"]
 
@@ -41,7 +41,7 @@ def _cx(pair, where: str) -> complex:
     try:
         re, im = pair
         return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{where}: expected [re, im], got {pair!r}") from exc
 
 
@@ -53,13 +53,31 @@ def _state_out(s: ChannelState) -> dict:
     return {"arrangement": s.arrangement, "v": s.v, "j": s.j, "m": s.m}
 
 
+def _int_in(d: dict, key: str) -> int:
+    """``d[key]`` if it is a JSON integer; ``int()`` would truncate 64.9 and parse "64"."""
+    x = d[key]
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise CohresError(f"{key} must be an integer, got {x!r}")
+    return x
+
+
 def _state_in(d: dict, where: str) -> ChannelState:
     try:
         return ChannelState(
-            arrangement=str(d["arrangement"]), v=int(d["v"]), j=int(d["j"]), m=int(d["m"])
+            arrangement=str(d["arrangement"]),
+            v=_int_in(d, "v"),
+            j=_int_in(d, "j"),
+            m=_int_in(d, "m"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"{where}: bad state record {d!r}: {exc}") from exc
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{path}: not UTF-8: {exc}") from exc
 
 
 def _load_object(text: str, where: str) -> dict:
@@ -70,6 +88,8 @@ def _load_object(text: str, where: str) -> dict:
         raise MalformedFileError(
             f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise MalformedFileError(f"{where}: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFileError(f"{where}: top level must be an object")
     return doc
@@ -136,7 +156,7 @@ def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
         )
     except MalformedFileError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{where}: {exc!r}") from exc
 
     violations = validate_table(table)
@@ -153,9 +173,9 @@ def write_table(table: AmplitudeTable, path: str | Path) -> None:
 def read_table(path: str | Path) -> AmplitudeTable:
     """Parse and validate a table file.
 
-    Raises MalformedFileError (with the file locus) if the document cannot
-    be parsed, TableValidationError if it parses but violates table
-    invariants, and OSError for I/O failures.
+    Raises MalformedFileError (with the file locus) if the document is not
+    UTF-8 or cannot be parsed, TableValidationError if it parses but
+    violates table invariants, and OSError for I/O failures.
     """
     path = Path(path)
-    return table_from_json(path.read_text(encoding="utf-8"), where=str(path))
+    return table_from_json(_read_text(path), where=str(path))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .core import AmplitudeTable
-from .errors import DegenerateChannelError
+from .errors import CohresError, DegenerateChannelError
 
 __all__ = [
     "XsecMatrix",
@@ -60,9 +60,9 @@ class ControlParams:
 
     def __post_init__(self):
         if not 0.0 <= self.s <= 1.0:
-            raise ValueError(f"s must lie in [0, 1], got {self.s!r}")
+            raise CohresError(f"s must lie in [0, 1], got {self.s!r}")
         if not math.isfinite(self.phi12):
-            raise ValueError(f"phi12 must be finite, got {self.phi12!r}")
+            raise CohresError(f"phi12 must be finite, got {self.phi12!r}")
         object.__setattr__(self, "phi12", _reduce_phase(self.phi12))
 
     def coefficients(self) -> tuple[float, complex]:
@@ -83,7 +83,7 @@ class XsecMatrix:
     Only this constructor decides that M is PSD within ``SLACK * trace``
     (~4.5e5 eps, far above a Gram sum's rounding).  A diagonal that far
     below 0 is stored as 0, |sigma12| may exceed sqrt(sigma11*sigma22) by
-    as much, and more raises ValueError.  Functions of M only clamp.
+    as much, and more raises CohresError.  Functions of M only clamp.
     """
 
     channel: str
@@ -95,26 +95,26 @@ class XsecMatrix:
 
     def __post_init__(self):
         if self.kind not in ("integral", "differential"):
-            raise ValueError(f"kind must be integral|differential, got {self.kind!r}")
+            raise CohresError(f"kind must be integral|differential, got {self.kind!r}")
         if (self.kind == "differential") != (self.node is not None):
-            raise ValueError("node index is required iff kind == differential")
+            raise CohresError("node index is required iff kind == differential")
         for name in ("sigma11", "sigma22"):
             v = float(getattr(self, name))
             if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+                raise CohresError(f"{name} must be finite, got {v!r}")
             if v < 0.0:
                 if v < -SLACK * (float(self.sigma11) + float(self.sigma22)):
-                    raise ValueError(f"{name} = {v!r} is negative beyond the trace's slack")
+                    raise CohresError(f"{name} = {v!r} is negative beyond the trace's slack")
                 v = 0.0
             object.__setattr__(self, name, v)
         s12 = complex(self.sigma12)
         if not (math.isfinite(s12.real) and math.isfinite(s12.imag)):
-            raise ValueError(f"sigma12 must be finite, got {s12!r}")
-        bound = math.sqrt(self.sigma11 * self.sigma22) + SLACK * self.trace
-        if abs(s12) > bound:
-            raise ValueError(
+            raise CohresError(f"sigma12 must be finite, got {s12!r}")
+        root = math.sqrt(self.sigma11) * math.sqrt(self.sigma22)  # the product may underflow
+        if abs(s12) > root + SLACK * self.trace:
+            raise CohresError(
                 f"|sigma12| = {abs(s12)!r} violates the Schwartz bound "
-                f"sqrt(sigma11*sigma22) = {math.sqrt(self.sigma11 * self.sigma22)!r}"
+                f"sqrt(sigma11*sigma22) = {root!r}"
             )
         object.__setattr__(self, "sigma12", s12)
 
@@ -215,9 +215,16 @@ def schwartz_ratio(m: XsecMatrix) -> float:
     proportional), and drops below 1 in the presence of direct scattering;
     clamped to 1, as ``XsecMatrix``'s slack admits a little more.  Raises
     DegenerateChannelError when either diagonal vanishes.
+
+    sqrt(sigma11*sigma22) is formed from the significands and exponents of
+    the diagonals, so it neither underflows nor overflows; wherever the
+    plain product does neither, the two are equal bit for bit.
     """
     if m.sigma11 <= 0.0 or m.sigma22 <= 0.0:
         raise DegenerateChannelError(
             f"schwartz ratio undefined: sigma11={m.sigma11!r} sigma22={m.sigma22!r}"
         )
-    return min(abs(m.sigma12) / math.sqrt(m.sigma11 * m.sigma22), 1.0)
+    (f11, e11), (f22, e22) = math.frexp(m.sigma11), math.frexp(m.sigma22)
+    e = e11 + e22  # sigma11*sigma22 = f11*f22 * 2**e with f11*f22 in [1/4, 1)
+    root = math.ldexp(math.sqrt(math.ldexp(f11 * f22, e & 1)), e >> 1)
+    return min(abs(m.sigma12) / root, 1.0)

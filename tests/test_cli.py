@@ -17,6 +17,7 @@ from cohres import (
     write_scan_csv,
 )
 from cohres.cli import main
+from cohres.errors import CohresError
 from conftest import FHD_SCENARIO
 
 # end-to-end regression, frozen from the committed scenario at the pole
@@ -345,6 +346,37 @@ class TestExitCodes:
 
     def test_missing_file_is_exit_1(self, tmp_path, capsys):
         assert main(["schwartz", "--table", str(tmp_path / "no.json"), "--channel", "x"]) == 1
+
+    def test_only_cohres_errors_are_domain_errors(self, fhd_table, monkeypatch, capsys):
+        def fail(error):
+            def read_table(path):
+                raise error
+
+            return read_table
+
+        argv = ["validate", "--table", str(fhd_table)]
+        monkeypatch.setattr("cohres.cli.read_table", fail(ValueError("boom")))
+        with pytest.raises(ValueError, match="^boom$") as err:
+            main(argv)
+        assert type(err.value) is ValueError  # a bug, not reported as a domain error
+        monkeypatch.setattr("cohres.cli.read_table", fail(CohresError("boom")))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "cohres: error: boom\n"
+
+    def test_scan_overflow_is_one_error_line(self, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohres.cli", "scan", "--config", str(FHD_SCENARIO),
+             "--emin", "1e100", "--emax", "1e100", "--step", "1", "--pair", "D+HF,H+DF",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert not out.exists()
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("cohres: error: at energy 1e+100 eV: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "t.json"

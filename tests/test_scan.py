@@ -10,6 +10,7 @@ from cohres import (
     BackgroundSpec,
     BackgroundState,
     ChannelState,
+    CohresError,
     ExitChannel,
     ExitState,
     ResonanceSpec,
@@ -114,6 +115,15 @@ class TestEnergyScan:
         with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
             energy_scan(cfg, [0.25, 1e305], PAIR)
         assert str(err.value).startswith("at energy 1e+305 eV: ")
+
+    def test_row_error_is_chained_not_rewritten(self):
+        cfg = read_scenario(FHD_SCENARIO)
+        with np.errstate(over="ignore"), pytest.raises(CohresError) as err:
+            energy_scan(cfg, [0.25, 1e305], PAIR)
+        cause = err.value.__cause__
+        assert isinstance(cause, CohresError)
+        assert str(err.value) == f"at energy 1e+305 eV: {cause}"
+        assert len(cause.args) == 1 and not cause.args[0].startswith("at energy")
 
     def test_unknown_row_channel(self):
         row = energy_scan(read_scenario(FHD_SCENARIO), ENERGIES[:1], PAIR)[0]

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +106,23 @@ class TestTableErrors:
             table_from_json(json.dumps(doc))
         assert "states * nodes * 4" in str(err.value)
 
+    def test_non_utf8_file_is_malformed_with_path(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        for read in (read_table, read_scenario):
+            with pytest.raises(MalformedFileError, match="not UTF-8") as err:
+                read(path)
+            assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("value", ["1e999", "1.5", '"1"', "true"])
+    def test_state_integers_are_exact(self, rng, tmp_path, value):
+        text = table_to_json(random_table(rng, n_states=1, order=4))
+        path = tmp_path / "t.json"
+        path.write_text(text.replace('"v": 0', f'"v": {value}', 1))
+        with pytest.raises(MalformedFileError, match="v must be an integer") as err:
+            read_table(path)
+        assert str(path) in str(err.value)
+
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             read_table(tmp_path / "absent.json")
@@ -189,6 +207,55 @@ class TestScenarioIo:
         ) == 1
         assert not out.exists()
         assert capsys.readouterr().err.count(f"cohres: error: {path}: SpecMismatchError") == 2
+
+    @pytest.mark.parametrize("value", ["1e999", "64.9", '"64"', "true"])
+    def test_grid_order_must_be_an_integer(self, tmp_path, value):
+        path = tmp_path / "s.json"
+        text = FHD_SCENARIO.read_text()
+        path.write_text(text.replace('"grid_order": 64', f'"grid_order": {value}'))
+        with pytest.raises(MalformedFileError, match="grid_order must be an integer") as err:
+            read_scenario(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "nan"], ids=["NaN", "inf", "str"])
+    @pytest.mark.parametrize(
+        "keys, field",
+        [
+            (("resonance", "epsilon_r_eV"), "epsilon_r"),
+            (("resonance", "gamma_width_eV"), "gamma_width"),
+            (("resonance", "entrance", 1, 0), "entrance"),
+            (("resonance", "exits", 0, "states", 0, "coupling", 1), "coupling"),
+            (("resonance", "exits", 0, "states", 0, "shape", 1), "shape"),
+            (("background", "reference_energy_eV"), "reference_energy"),
+            (("background", "channels", 0, "states", 0, "amplitude", 0), "amplitude"),
+            (("background", "channels", 0, "states", 0, "slope", 1), "slope"),
+            (("background", "channels", 0, "states", 0, "shape", 2), "shape"),
+            (("background", "channels", 1, "states", 0, "column_weights", 1, 0), "column_weights"),
+        ],
+        ids=lambda x: x if isinstance(x, str) else None,
+    )
+    def test_non_finite_spec_number_rejected(self, tmp_path, capsys, keys, field, value):
+        cfg = json.loads(FHD_SCENARIO.read_text())
+        parent = cfg
+        for k in keys[:-1]:
+            parent = parent[k]
+        parent[keys[-1]] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(MalformedFileError, match=f"{field} must be finite") as err:
+            read_scenario(path)
+        assert str(path) in str(err.value)
+
+        from cohres.cli import main
+
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(path), "--energy", "0.255", "--out", str(out)]) == 1
+        assert main(
+            ["scan", "--config", str(path), "--emin", "0.25", "--emax", "0.26",
+             "--step", "0.005", "--pair", "D+HF,H+DF", "--out", str(out)]
+        ) == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_committed_scenario_synthesizes_valid_tables(self):
         from cohres import validate_table

@@ -227,3 +227,10 @@ class TestSchwartzRatio:
     def test_degenerate_channel(self):
         with pytest.raises(DegenerateChannelError):
             schwartz_ratio(XsecMatrix("X", "integral", 0.0, 1.0, 0.0))
+
+    def test_tiny_diagonals_do_not_underflow(self):
+        # sigma11*sigma22 = 1e-340 underflows to 0 as a double
+        saturated = XsecMatrix("X", "integral", 1e-170, 1e-170, 1e-170)
+        assert schwartz_ratio(saturated) == 1.0
+        weak = XsecMatrix("X", "integral", 1e-170, 1e-170, 1e-180)
+        assert schwartz_ratio(weak) == pytest.approx(1e-10, rel=1e-15)
