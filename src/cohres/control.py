@@ -85,20 +85,27 @@ def _params_from_vector(c1: complex, c2: complex) -> ControlParams:
     return ControlParams(s=s, phi12=phi)
 
 
-def cross_section_extrema(m: XsecMatrix) -> ControlRange:
-    """Exact controllable range of one channel's cross section.
+def _eigenvalues(m: XsecMatrix) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the interference matrix.
 
-    The bounds are the eigenvalues of the interference matrix,
     lambda_-+ = (T -+ sqrt(T^2 - 4D))/2 with T the trace and D the
-    determinant; the achieving (s, phi12) span the null space of
-    M - lambda*I.  lambda_min is computed as D / lambda_max, which avoids
+    determinant.  lambda_min is computed as D / lambda_max, which avoids
     the cancellation in (T - sqrt(...))/2 and preserves the sum and
     product identities to machine precision.
     """
-    t = m.trace
     disc_sq = (m.sigma11 - m.sigma22) ** 2 + 4.0 * abs(m.sigma12) ** 2
-    lam_max = 0.5 * (t + math.sqrt(disc_sq))
-    lam_min = m.det / lam_max if lam_max > 0.0 else 0.0
+    lam_max = 0.5 * (m.trace + math.sqrt(disc_sq))
+    return (m.det / lam_max if lam_max > 0.0 else 0.0), lam_max
+
+
+def cross_section_extrema(m: XsecMatrix) -> ControlRange:
+    """Exact controllable range of one channel's cross section.
+
+    The bounds are the eigenvalues of the interference matrix
+    (``_eigenvalues``); the achieving (s, phi12) span the null space of
+    M - lambda*I.
+    """
+    lam_min, lam_max = _eigenvalues(m)
 
     if m.sigma12 == 0:
         if m.sigma11 == m.sigma22:

@@ -19,15 +19,14 @@ from typing import Sequence
 
 from .control import (
     ControlRange,
+    _eigenvalues,
     _quotient,
-    cross_section_extrema,
     noncoherent_limits,
     ratio_extrema,
 )
 from .errors import CohresError, DegenerateChannelError, UnknownChannelError
 from .resonance import synthesis_basis, synthesize_table
 from .scenario import ScenarioConfig
-from .tableio import _fmt
 from .xsection import XsecMatrix, cross_section_matrix, schwartz_ratio
 
 __all__ = ["ChannelScan", "RatioScan", "ScanRow", "energy_scan", "write_scan_csv", "scan_csv_header"]
@@ -98,15 +97,21 @@ def _safe_schwartz(m: XsecMatrix) -> float:
 
 
 def _scan_row(energy: float, matrices: dict[str, XsecMatrix], pair: tuple[str, str]) -> ScanRow:
+    """One energy's row.
+
+    A channel's ``sigma_min``/``sigma_max`` are the eigenvalues of its
+    matrix, the bounds ``cross_section_extrema`` returns; the control
+    parameters that reach them are not computed, since no column holds them.
+    """
     channels = []
     for ch, m in matrices.items():
-        ext = cross_section_extrema(m)
+        lam_min, lam_max = _eigenvalues(m)
         s11, s22 = noncoherent_limits(m)
         channels.append(
             ChannelScan(
                 channel=ch,
-                sigma_min=ext.min_value,
-                sigma_max=ext.max_value,
+                sigma_min=lam_min,
+                sigma_max=lam_max,
                 sigma_11=s11,
                 sigma_22=s22,
                 schwartz=_safe_schwartz(m),
@@ -147,6 +152,9 @@ def energy_scan(
 
     The scenario's ``synthesis_basis`` is computed once; each energy's
     table is combined from it and integrated by ``cross_section_matrix``.
+    A channel's ``sigma_min``/``sigma_max`` are the eigenvalues of its
+    matrix, equal to ``cross_section_extrema``'s bounds; only the ratio
+    pair's extrema carry control parameters.
     Raises UnknownChannelError when a label of ``channel_pair`` is not a
     scenario channel.  A row whose table, matrices or solvers raise a
     CohresError or an ArithmeticError raises a CohresError that names the
@@ -200,17 +208,22 @@ def scan_csv_header(pair: tuple[str, str]) -> list[str]:
 
 
 def write_scan_csv(rows: Sequence[ScanRow], path: str | Path) -> None:
-    """Emit the scan as plot-ready CSV (header mandatory, "inf" for unbounded)."""
+    """Emit the scan as plot-ready CSV (header mandatory, "inf" for unbounded).
+
+    Lines end in CRLF, as the ``csv`` module writes them.  The header goes
+    through ``csv.writer``, which quotes a label as its rules require; a data
+    row is joined directly, since repr(float) never needs quoting.
+    """
     if not rows:
         raise CohresError("nothing to write")
     pair = (rows[0].ratio.numerator, rows[0].ratio.denominator)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(scan_csv_header(pair))
+        csv.writer(fh).writerow(scan_csv_header(pair))
         for row in rows:
             values = [row.energy]
             for label in pair:
                 c = row.channel(label)
                 values += [getattr(c, name) for name in _CHANNEL_COLUMNS]
             values += _ratio_values(row.ratio)
-            writer.writerow([_fmt(v) for v in values])
+            # tableio._fmt's repr(float(v)), without a Python call per value
+            fh.write(",".join(map(repr, map(float, values))) + "\r\n")

@@ -186,7 +186,7 @@ def _scenario_from_dict(doc: dict, where: str = "scenario") -> ScenarioConfig:
         )
     except MalformedFileError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{where}: {exc!r}") from exc
 
 

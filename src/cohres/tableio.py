@@ -88,7 +88,7 @@ def _load_object(text: str, where: str) -> dict:
         raise MalformedFileError(
             f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
         raise MalformedFileError(f"{where}: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFileError(f"{where}: top level must be an object")

@@ -141,16 +141,13 @@ def _gram(f: np.ndarray, weights: np.ndarray | None) -> tuple[float, float, comp
     """
     f1 = f[:, :, 0]
     f2 = f[:, :, 1]
+    p = np.abs(f) ** 2
     if weights is None:
-        s11 = float(np.sum(np.abs(f1) ** 2))
-        s22 = float(np.sum(np.abs(f2) ** 2))
-        s12 = complex(np.sum(np.conj(f1) * f2))
+        s12 = (np.conj(f1) * f2).sum()
     else:
-        w = weights[np.newaxis, :]
-        s11 = float(np.sum(w * np.abs(f1) ** 2))
-        s22 = float(np.sum(w * np.abs(f2) ** 2))
-        s12 = complex(np.sum(w * np.conj(f1) * f2))
-    return s11, s22, s12
+        p = weights[:, np.newaxis] * p
+        s12 = (weights * np.conj(f1) * f2).sum()
+    return float(p[:, :, 0].sum()), float(p[:, :, 1].sum()), complex(s12)
 
 
 def cross_section_matrix(table: AmplitudeTable, channel: str) -> XsecMatrix:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import sys
 from dataclasses import replace
@@ -18,6 +20,7 @@ from cohres import (
     UnknownChannelError,
     XsecMatrix,
     controlled_ratio,
+    cross_section_extrema,
     cross_section_matrix,
     energy_scan,
     read_scenario,
@@ -61,6 +64,37 @@ def flat_scenario(slope_free=True):
         ),
     )
     return ScenarioConfig(res, bg, mix=0.0, grid_order=16, initial_pair=INITIAL)
+
+
+def zero_numerator_scenario():
+    """fhd_like with every D+HF coupling and direct term zero, so r_min = r_max = 0."""
+    cfg = read_scenario(FHD_SCENARIO)
+    exits = tuple(
+        replace(ch, states=tuple(replace(s, coupling=0) for s in ch.states))
+        if ch.arrangement == "D+HF" else ch
+        for ch in cfg.resonance.exits
+    )
+    direct = tuple(
+        replace(ch, states=tuple(replace(s, amplitude=0, slope=0) for s in ch.states))
+        if ch.arrangement == "D+HF" else ch
+        for ch in cfg.background.channels
+    )
+    return replace(
+        cfg,
+        resonance=replace(cfg.resonance, exits=exits),
+        background=replace(cfg.background, channels=direct),
+    )
+
+
+def closed_column_scenario():
+    """fhd_like, pure direct scattering, H+DF closed from the first initial state."""
+    cfg = read_scenario(FHD_SCENARIO)
+    channels = tuple(
+        replace(ch, states=tuple(replace(s, column_weights=(0, 1)) for s in ch.states))
+        if ch.arrangement == "H+DF" else ch
+        for ch in cfg.background.channels
+    )
+    return replace(cfg, mix=0.0, background=replace(cfg.background, channels=channels))
 
 
 class TestEnergyScan:
@@ -131,24 +165,7 @@ class TestEnergyScan:
             row.channel("missing")
 
     def test_zero_numerator_factors_are_nan(self, tmp_path):
-        # every D+HF coupling and direct term is zero, so r_min = r_max = 0
-        cfg = read_scenario(FHD_SCENARIO)
-        exits = tuple(
-            replace(ch, states=tuple(replace(s, coupling=0) for s in ch.states))
-            if ch.arrangement == "D+HF" else ch
-            for ch in cfg.resonance.exits
-        )
-        direct = tuple(
-            replace(ch, states=tuple(replace(s, amplitude=0, slope=0) for s in ch.states))
-            if ch.arrangement == "D+HF" else ch
-            for ch in cfg.background.channels
-        )
-        cfg = replace(
-            cfg,
-            resonance=replace(cfg.resonance, exits=exits),
-            background=replace(cfg.background, channels=direct),
-        )
-        rows = energy_scan(cfg, ENERGIES[:3], PAIR)
+        rows = energy_scan(zero_numerator_scenario(), ENERGIES[:3], PAIR)
         for r in rows:
             assert r.ratio.extrema.degenerate
             assert r.ratio.r_min == r.ratio.r_max == r.ratio.r_nc_min == r.ratio.r_nc_max == 0.0
@@ -250,6 +267,20 @@ class TestBasisScan:
         for row in energy_scan(cfg, energies, PAIR):
             assert_rows_match(row, *per_table_row(cfg, row.energy), cond_factor=0)
 
+    def test_channel_columns_are_exactly_the_extrema(self):
+        cfg = read_scenario(FHD_SCENARIO)
+        energies = [0.20 + 0.11 * i / 1100 for i in range(1101)]
+        grid = cfg.grid()
+        res, bg = cfg.resonance, cfg.background
+        basis = synthesis_basis(res, bg, grid, cfg.mix)
+        for row in energy_scan(cfg, energies, PAIR):
+            table = synthesize_table(
+                res, bg, grid, row.energy, cfg.initial_pair, cfg.mix, basis=basis
+            )
+            for c in row.channels:
+                ext = cross_section_extrema(cross_section_matrix(table, c.channel))
+                assert (c.sigma_min, c.sigma_max) == (ext.min_value, ext.max_value)
+
     @pytest.mark.parametrize("mix", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 5, 6])
     def test_rows_match_per_table_path_on_random_scenarios(self, mix, n_states):
@@ -304,6 +335,28 @@ class TestBasisScan:
         cfg = read_scenario(FHD_SCENARIO)
         with pytest.raises(ValueError, match=f"^energies must be finite, got {bad}$"):
             energy_scan(cfg, energies, PAIR)
+
+
+def reference_scan_csv(rows) -> bytes:
+    """write_scan_csv's bytes as csv.writer writes them, every value repr(float(v))."""
+    pair = (rows[0].ratio.numerator, rows[0].ratio.denominator)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(scan_csv_header(pair))
+    for row in rows:
+        values = [row.energy]
+        for label in pair:
+            c = row.channel(label)
+            values += [c.sigma_min, c.sigma_max, c.sigma_11, c.sigma_22, c.schwartz]
+        r = row.ratio
+        lo, hi = r.extrema.params_at_min, r.extrema.params_at_max
+        values += [
+            r.r_min, lo.s, math.degrees(lo.phi12),
+            r.r_max, hi.s, math.degrees(hi.phi12),
+            r.r_nc_min, r.r_nc_max, r.coherent_factor, r.noncoherent_factor,
+        ]
+        writer.writerow([repr(float(v)) for v in values])
+    return buf.getvalue().encode("utf-8")
 
 
 class TestScanCsv:
@@ -369,6 +422,29 @@ class TestScanCsv:
         write_scan_csv(rows, path)
         body = path.read_text().splitlines()[1]
         assert "inf" in body.split(",")
+
+    def test_bytes_equal_the_csv_module_reference(self, tmp_path):
+        fhd = read_scenario(FHD_SCENARIO)
+        a = XsecMatrix('A,"x"', "integral", 2.0, 1.0, 0.5j)
+        b = XsecMatrix("B", "integral", 1.0, 3.0, 0.25)
+        cases = {
+            "fhd_401": energy_scan(fhd, [0.20 + 0.05 * k / 400 for k in range(401)], PAIR),
+            "closed_column": energy_scan(closed_column_scenario(), ENERGIES[:3], PAIR),
+            "zero_numerator": energy_scan(zero_numerator_scenario(), ENERGIES[:3], PAIR),
+            "linspace": energy_scan(fhd, np.linspace(0.25, 0.26, 5), PAIR),
+            "quoted_label": [
+                _scan_row(e, {a.channel: a, "B": b}, (a.channel, "B")) for e in (0.1, 0.2)
+            ],
+        }
+        for name, rows in cases.items():
+            path = tmp_path / f"{name}.csv"
+            write_scan_csv(rows, path)
+            data = path.read_bytes()
+            assert data == reference_scan_csv(rows), name
+            assert data.count(b"\r\n") == data.count(b"\n") == len(rows) + 1, name
+        assert b'"sigma_min[A,""x""]"' in (tmp_path / "quoted_label.csv").read_bytes()
+        assert b"inf" in (tmp_path / "closed_column.csv").read_bytes()
+        assert b"nan" in (tmp_path / "zero_numerator.csv").read_bytes()
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -277,3 +277,39 @@ class TestScenarioIo:
         path.write_text(json.dumps(cfg))
         with pytest.raises(MalformedFileError):
             read_scenario(path)
+
+    def _assert_cli_rejects(self, path, capsys):
+        """synth and scan exit 1 with one error line naming the file, writing nothing."""
+        from cohres.cli import main
+
+        out = path.parent / "out"
+        assert main(["synth", "--config", str(path), "--energy", "0.255", "--out", str(out)]) == 1
+        assert main(
+            ["scan", "--config", str(path), "--emin", "0.25", "--emax", "0.26",
+             "--step", "0.005", "--pair", "D+HF,H+DF", "--out", str(out)]
+        ) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith(f"cohres: error: {path}: ") for line in lines)
+
+    def test_masses_as_list_is_malformed(self, tmp_path, capsys):
+        cfg = json.loads(FHD_SCENARIO.read_text())
+        cfg["masses_amu"] = [1, 2]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(MalformedFileError, match="AttributeError") as err:
+            read_scenario(path)
+        assert str(err.value).startswith(str(path))
+        self._assert_cli_rejects(path, capsys)
+
+    def test_deep_nesting_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        for read in (read_table, read_scenario):
+            with pytest.raises(MalformedFileError, match="recursion") as err:
+                read(path)
+            assert str(err.value).startswith(str(path))
+        self._assert_cli_rejects(path, capsys)

@@ -18,8 +18,10 @@ from cohres import (
     cross_section_extrema,
     cross_section_matrix,
     differential_matrix,
+    gauss_legendre_grid,
     schwartz_ratio,
 )
+from cohres.xsection import _gram
 from conftest import INITIAL, random_table
 
 
@@ -86,6 +88,42 @@ class TestCrossSectionMatrix:
         assert m1.sigma11 == pytest.approx(abs(z) ** 2 * m0.sigma11, rel=1e-12)
         assert m1.sigma22 == pytest.approx(abs(z) ** 2 * m0.sigma22, rel=1e-12)
         assert cmath.phase(m1.sigma12) == pytest.approx(cmath.phase(m0.sigma12), abs=1e-12)
+
+
+def gram_three_sums(f, weights):
+    """The reference Gram kernel: one sum per entry over the column slices."""
+    f1, f2 = f[:, :, 0], f[:, :, 1]
+    if weights is None:
+        return (
+            float(np.sum(np.abs(f1) ** 2)),
+            float(np.sum(np.abs(f2) ** 2)),
+            complex(np.sum(np.conj(f1) * f2)),
+        )
+    w = weights[np.newaxis, :]
+    return (
+        float(np.sum(w * np.abs(f1) ** 2)),
+        float(np.sum(w * np.abs(f2) ** 2)),
+        complex(np.sum(w * np.conj(f1) * f2)),
+    )
+
+
+class TestGramKernel:
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 5, 6])
+    def test_equals_three_sums_bit_for_bit(self, n_states):
+        rng = np.random.default_rng((20261018, n_states))
+        for order in (1, 2, 7, 16, 64):
+            shape = (n_states, order, 2)
+            f = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(
+                -4, 4, size=shape
+            )
+            weights = gauss_legendre_grid(order).weights
+            cases = [(f, weights), (np.asfortranarray(f), weights)]
+            cases.append((f[:, ::2, :], weights[::2]))
+            cases += [(f[:, k : k + 1, :], None) for k in range(order)]
+            cases.append((f[::2, order // 2 : order // 2 + 1, :], None))
+            for block, w in cases:
+                # repr tells -0.0 from 0.0, which == does not
+                assert repr(_gram(block, w)) == repr(gram_three_sums(block, w))
 
 
 class TestDifferentialMatrix:
