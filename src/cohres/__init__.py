@@ -24,7 +24,6 @@ from .core import (
     SuperpositionKinematics,
     gauss_legendre_grid,
     kinematic_pair,
-    validate_table,
 )
 from .errors import (
     ChannelClosedError,
@@ -113,7 +112,6 @@ __all__ = [
     "resonance_branching_ratio",
     "schwartz_ratio",
     "synthesize_table",
-    "validate_table",
     "wavenumber",
     "width_from_lifetime",
     "write_scan_csv",

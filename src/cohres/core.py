@@ -10,19 +10,29 @@ of its inputs.
 Tables are restricted to azimuthally symmetric scattering: the two initial
 states must carry the same helicity label m, otherwise the products would
 acquire an azimuthal dependence that a polar-only grid cannot represent.
-:func:`validate_table` reports a violation for mixed-m pairs.
+
+A table is checked when it is built, whether by hand, by the table reader
+or by the synthesizer: :class:`AmplitudeTable` raises
+:class:`TableValidationError` listing every violated invariant, a
+mixed-m pair among them, so every table that exists is valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .constants import FOUR_PI, wavenumber
-from .errors import ChannelClosedError, CohresError, NonPositiveError, UnknownChannelError
+from .errors import (
+    ChannelClosedError,
+    CohresError,
+    NonPositiveError,
+    TableValidationError,
+    UnknownChannelError,
+)
 
 __all__ = [
     "ChannelState",
@@ -32,7 +42,6 @@ __all__ = [
     "AmplitudeTable",
     "SuperpositionKinematics",
     "kinematic_pair",
-    "validate_table",
 ]
 
 WEIGHT_SUM_RTOL = 1e-12
@@ -70,14 +79,20 @@ class AngleGrid:
     Weights absorb the 2*pi azimuthal factor and the sin(theta) measure, so
     for a quadrature grid they sum to 4*pi.  A single-node grid is allowed
     for purely angle-resolved tables and is exempt from the sum rule.
+
+    A grid may exist invalid; :meth:`violations` lists what is wrong with
+    it, and an :class:`AmplitudeTable` refuses it.  The list is computed
+    once, here, since many tables share one grid.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+    _violations: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _frozen(np.asarray(self.nodes, dtype=float)))
         object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, dtype=float)))
+        object.__setattr__(self, "_violations", tuple(self._check()))
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -87,6 +102,10 @@ class AngleGrid:
         return int(np.argmin(np.abs(self.nodes - theta)))
 
     def violations(self) -> list[str]:
+        """One message per violated grid invariant; empty for a valid grid."""
+        return list(self._violations)
+
+    def _check(self) -> list[str]:
         out = []
         if self.nodes.ndim != 1 or self.weights.ndim != 1:
             out.append("grid: nodes and weights must be one-dimensional")
@@ -138,6 +157,8 @@ class ChannelBlock:
 
     ``amplitudes[n, k, i]`` is the transition amplitude into final state n
     at angle node k from initial state i (column 0 or 1), in A*sr^(-1/2).
+    They are stored C-contiguous, so a block's Grams do not depend on the
+    memory layout of the array it was given.
     """
 
     arrangement: str
@@ -147,13 +168,19 @@ class ChannelBlock:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(
-            self, "amplitudes", _frozen(np.asarray(self.amplitudes, dtype=complex))
+            self, "amplitudes", _frozen(np.ascontiguousarray(self.amplitudes, dtype=complex))
         )
 
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """All transition amplitudes out of one two-state superposition pair."""
+    """All transition amplitudes out of one two-state superposition pair.
+
+    The constructor checks every table invariant and raises
+    TableValidationError with one message per violation, in the order:
+    initial pair, energy, grid, then each channel block.  A block whose
+    amplitude shape is wrong gets no finer checks.
+    """
 
     energy: float
     initial_pair: tuple[ChannelState, ChannelState]
@@ -163,6 +190,61 @@ class AmplitudeTable:
     def __post_init__(self):
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
         object.__setattr__(self, "channels", tuple(self.channels))
+        violations = self._check()
+        if violations:
+            raise TableValidationError(violations)
+
+    def _check(self) -> list[str]:
+        out: list[str] = []
+        if len(self.initial_pair) != 2:
+            out.append(
+                f"initial_pair: need exactly two states, got {len(self.initial_pair)}"
+            )
+        else:
+            a, b = self.initial_pair
+            if a == b:
+                out.append("initial_pair: the two initial states must be distinct")
+            if a.arrangement != b.arrangement:
+                out.append(
+                    f"initial_pair: arrangements differ ({a.arrangement!r} vs {b.arrangement!r})"
+                )
+            if a.m != b.m:
+                out.append(
+                    "initial_pair: helicities differ; only azimuthally symmetric "
+                    "tables (equal m) are supported"
+                )
+        if not math.isfinite(self.energy):
+            out.append("energy: must be finite")
+        out.extend(self.grid.violations())
+
+        n_nodes = len(self.grid)
+        seen = set()
+        for block in self.channels:
+            label = block.arrangement
+            if label in seen:
+                out.append(f"channel {label!r}: duplicate arrangement label")
+            seen.add(label)
+            expected = (len(block.states), n_nodes, 2)
+            if block.amplitudes.shape != expected:
+                out.append(
+                    f"channel {label!r}: amplitude array has shape "
+                    f"{block.amplitudes.shape}, expected {expected}"
+                )
+                continue
+            if not np.isfinite(block.amplitudes).all():
+                bad = np.argwhere(~np.isfinite(block.amplitudes))
+                n, k, i = (int(x) for x in bad[0])
+                out.append(
+                    f"channel {label!r}: non-finite amplitude at state {n}, "
+                    f"node {k}, column {i}"
+                )
+            for n, s in enumerate(block.states):
+                if s.arrangement != label:
+                    out.append(
+                        f"channel {label!r}: state {n} carries arrangement "
+                        f"{s.arrangement!r}"
+                    )
+        return out
 
     def arrangements(self) -> tuple[str, ...]:
         return tuple(b.arrangement for b in self.channels)
@@ -174,60 +256,6 @@ class AmplitudeTable:
         raise UnknownChannelError(
             f"no channel {arrangement!r}; table has {list(self.arrangements())}"
         )
-
-
-def validate_table(table: AmplitudeTable) -> list[str]:
-    """Check every table invariant; returns one message per violation.
-
-    Violations are data, not faults: an empty list means the table is
-    valid.  Shape problems short-circuit the finer checks for the block
-    they occur in.
-    """
-    out: list[str] = []
-    a, b = table.initial_pair
-    if a == b:
-        out.append("initial_pair: the two initial states must be distinct")
-    if a.arrangement != b.arrangement:
-        out.append(
-            f"initial_pair: arrangements differ ({a.arrangement!r} vs {b.arrangement!r})"
-        )
-    if a.m != b.m:
-        out.append(
-            "initial_pair: helicities differ; only azimuthally symmetric "
-            "tables (equal m) are supported"
-        )
-    if not math.isfinite(table.energy):
-        out.append("energy: must be finite")
-    out.extend(table.grid.violations())
-
-    n_nodes = len(table.grid)
-    seen = set()
-    for block in table.channels:
-        label = block.arrangement
-        if label in seen:
-            out.append(f"channel {label!r}: duplicate arrangement label")
-        seen.add(label)
-        expected = (len(block.states), n_nodes, 2)
-        if block.amplitudes.shape != expected:
-            out.append(
-                f"channel {label!r}: amplitude array has shape "
-                f"{block.amplitudes.shape}, expected {expected}"
-            )
-            continue
-        if not np.all(np.isfinite(block.amplitudes.view(float))):
-            bad = np.argwhere(~np.isfinite(block.amplitudes))
-            n, k, i = (int(x) for x in bad[0])
-            out.append(
-                f"channel {label!r}: non-finite amplitude at state {n}, "
-                f"node {k}, column {i}"
-            )
-        for n, s in enumerate(block.states):
-            if s.arrangement != label:
-                out.append(
-                    f"channel {label!r}: state {n} carries arrangement "
-                    f"{s.arrangement!r}"
-                )
-    return out
 
 
 @dataclass(frozen=True)

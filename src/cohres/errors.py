@@ -44,7 +44,11 @@ class MalformedFileError(CohresError):
 
 
 class TableValidationError(CohresError):
-    """A file parsed but the resulting table violates invariants."""
+    """A table violates its invariants; ``violations`` lists each one.
+
+    Raised by the ``AmplitudeTable`` constructor, so by every path that
+    builds a table: by hand, from a file or from a scenario.
+    """
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)

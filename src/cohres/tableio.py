@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState, validate_table
-from .errors import CohresError, MalformedFileError, TableValidationError
+from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
+from .errors import CohresError, MalformedFileError
 
 __all__ = ["write_table", "read_table", "table_to_json", "table_from_json"]
 
@@ -107,7 +107,7 @@ def table_to_json(table: AmplitudeTable) -> str:
             {
                 "arrangement": b.arrangement,
                 "states": [_state_out(s) for s in b.states],
-                "amplitudes": np.ascontiguousarray(b.amplitudes).view(float).ravel().tolist(),
+                "amplitudes": b.amplitudes.view(float).ravel().tolist(),
             }
             for b in table.channels
         ],
@@ -148,21 +148,13 @@ def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
                     arrangement=str(ch["arrangement"]), states=states, amplitudes=amps
                 )
             )
-        table = AmplitudeTable(
-            energy=float(doc["energy_eV"]),
-            initial_pair=pair,
-            grid=grid,
-            channels=tuple(blocks),
-        )
+        energy = float(doc["energy_eV"])
     except MalformedFileError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{where}: {exc!r}") from exc
-
-    violations = validate_table(table)
-    if violations:
-        raise TableValidationError(violations)
-    return table
+    # outside the try: a TableValidationError is a ValueError, and must keep its list
+    return AmplitudeTable(energy=energy, initial_pair=pair, grid=grid, channels=tuple(blocks))
 
 
 def write_table(table: AmplitudeTable, path: str | Path) -> None:
@@ -171,11 +163,12 @@ def write_table(table: AmplitudeTable, path: str | Path) -> None:
 
 
 def read_table(path: str | Path) -> AmplitudeTable:
-    """Parse and validate a table file.
+    """Parse a table file; the table checks its own invariants as it is built.
 
     Raises MalformedFileError (with the file locus) if the document is not
-    UTF-8 or cannot be parsed, TableValidationError if it parses but
-    violates table invariants, and OSError for I/O failures.
+    UTF-8 or cannot be parsed, TableValidationError (listing every
+    violation) if it parses but violates table invariants, and OSError for
+    I/O failures.
     """
     path = Path(path)
     return table_from_json(_read_text(path), where=str(path))

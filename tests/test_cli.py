@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cohres import (
@@ -262,6 +263,61 @@ class TestValidateCommand:
         assert main(["validate", "--table", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "weights sum" in out and "1 violation(s)" in out
+
+    def test_every_violation_printed_in_order(self, fhd_table, tmp_path, capsys):
+        doc = json.loads(fhd_table.read_text())
+        weights = [w / 2 for w in doc["angle_grid"]["weights_sr"]]
+        doc["angle_grid"]["weights_sr"] = weights
+        doc["initial"][1]["m"] = 1
+        doc["channels"][0]["amplitudes"][5] = math.nan  # state 0, node 1, column 0, real part
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--table", str(bad)]) == 1
+        total = float(np.asarray(weights).sum())
+        assert capsys.readouterr() == (
+            "initial_pair: helicities differ; only azimuthally symmetric tables "
+            "(equal m) are supported\n"
+            f"grid: weights sum to {total!r}, expected 4*pi = {4.0 * math.pi!r}\n"
+            "channel 'D+HF': non-finite amplitude at state 0, node 1, column 0\n"
+            "3 violation(s)\n",
+            "",
+        )
+
+
+def invalid_pair(doc):
+    doc["initial_pair"][1]["m"] = 1
+    return "helicities differ"
+
+
+def repeated_pair(doc):
+    doc["initial_pair"][1] = dict(doc["initial_pair"][0])
+    return "the two initial states must be distinct"
+
+
+class TestInvalidPairScenario:
+    """A scenario whose initial pair no table can carry writes nothing."""
+
+    @pytest.mark.parametrize("mutate", [invalid_pair, repeated_pair])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--energy", "0.255"],
+            ["scan", "--emin", "0.25", "--emax", "0.26", "--step", "0.005",
+             "--pair", "D+HF,H+DF"],
+        ],
+        ids=["synth", "scan"],
+    )
+    def test_exit_1_and_no_file(self, mutate, argv, tmp_path, capsys):
+        doc = json.loads(FHD_SCENARIO.read_text())
+        message = mutate(doc)
+        config, out = tmp_path / "pair.json", tmp_path / "out"
+        config.write_text(json.dumps(doc))
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cohres: error: ")
+        assert captured.err.count("\n") == 1 and message in captured.err
 
 
 class TestExitCodes:

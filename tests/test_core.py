@@ -12,10 +12,10 @@ from cohres import (
     ChannelClosedError,
     ChannelState,
     NonPositiveError,
+    TableValidationError,
     gauss_legendre_grid,
     kinematic_pair,
     reduced_mass,
-    validate_table,
 )
 from conftest import INITIAL, random_table
 
@@ -137,19 +137,29 @@ class TestKinematicPair:
             assert k.k1 <= k.k2
 
 
+def with_block(t, amps):
+    """``t`` with its first block's amplitudes replaced."""
+    b = t.channels[0]
+    block = ChannelBlock(b.arrangement, b.states, amps)
+    return AmplitudeTable(t.energy, t.initial_pair, t.grid, (block,) + t.channels[1:])
+
+
 class TestValidateTable:
+    """A table checks its invariants when it is built."""
+
     def test_well_formed_table(self, rng):
-        assert validate_table(random_table(rng)) == []
+        random_table(rng)  # the constructor raises on an invalid table
 
     def test_half_weight_sum_names_invariant(self, rng):
         t = random_table(rng, n_states=2, order=6)
-        bad = AmplitudeTable(
-            t.energy,
-            t.initial_pair,
-            AngleGrid(t.grid.nodes, 0.5 * t.grid.weights),
-            t.channels,
-        )
-        report = validate_table(bad)
+        with pytest.raises(TableValidationError) as err:
+            AmplitudeTable(
+                t.energy,
+                t.initial_pair,
+                AngleGrid(t.grid.nodes, 0.5 * t.grid.weights),
+                t.channels,
+            )
+        report = err.value.violations
         assert len(report) == 1
         assert "weights sum" in report[0]
 
@@ -157,37 +167,114 @@ class TestValidateTable:
         t = random_table(rng, n_states=2, order=6)
         amps = t.channels[0].amplitudes.copy()
         amps[1, 3, 0] = complex(math.nan, 0.0)
-        bad = AmplitudeTable(
-            t.energy,
-            t.initial_pair,
-            t.grid,
-            (ChannelBlock(t.channels[0].arrangement, t.channels[0].states, amps),)
-            + t.channels[1:],
-        )
-        report = validate_table(bad)
+        with pytest.raises(TableValidationError) as err:
+            with_block(t, amps)
+        report = err.value.violations
         assert len(report) == 1
         assert "non-finite" in report[0]
 
     def test_mixed_helicity_pair_flagged(self, rng):
         t = random_table(rng, n_states=1, order=4)
         pair = (ChannelState("F+HD", 0, 0, 0), ChannelState("F+HD", 0, 1, 1))
-        bad = AmplitudeTable(t.energy, pair, t.grid, t.channels)
-        assert any("helicities" in v for v in validate_table(bad))
+        with pytest.raises(TableValidationError) as err:
+            AmplitudeTable(t.energy, pair, t.grid, t.channels)
+        assert any("helicities" in v for v in err.value.violations)
 
     def test_same_state_twice_flagged(self, rng):
         t = random_table(rng, n_states=1, order=4)
         pair = (INITIAL[0], INITIAL[0])
-        bad = AmplitudeTable(t.energy, pair, t.grid, t.channels)
-        assert any("distinct" in v for v in validate_table(bad))
+        with pytest.raises(TableValidationError) as err:
+            AmplitudeTable(t.energy, pair, t.grid, t.channels)
+        assert any("distinct" in v for v in err.value.violations)
 
     def test_wrong_shape_reported(self, rng):
         t = random_table(rng, n_states=2, order=6)
-        amps = t.channels[0].amplitudes[:, :4, :]
-        bad = AmplitudeTable(
-            t.energy,
-            t.initial_pair,
-            t.grid,
-            (ChannelBlock(t.channels[0].arrangement, t.channels[0].states, amps),)
-            + t.channels[1:],
-        )
-        assert any("shape" in v for v in validate_table(bad))
+        with pytest.raises(TableValidationError) as err:
+            with_block(t, t.channels[0].amplitudes[:, :4, :])
+        assert any("shape" in v for v in err.value.violations)
+
+
+class TestTableConstruction:
+    """Tables the library once accepted, or failed on outside CohresError."""
+
+    def test_three_amplitude_columns_rejected(self, rng):
+        t = random_table(rng, n_states=2, order=6)
+        amps = np.concatenate([t.channels[0].amplitudes] * 2, axis=2)[:, :, :3]
+        with pytest.raises(TableValidationError, match=r"shape \(2, 6, 3\), expected \(2, 6, 2\)"):
+            with_block(t, amps)
+
+    def test_mixed_m_pair_rejected(self, rng):
+        t = random_table(rng, n_states=1, order=4)
+        pair = (ChannelState("F+HD", 0, 1, 0), ChannelState("F+HD", 0, 1, 1))
+        with pytest.raises(TableValidationError, match="helicities differ") as err:
+            AmplitudeTable(t.energy, pair, t.grid, t.channels)
+        assert len(err.value.violations) == 1
+
+    def test_weights_summing_to_eight_pi_rejected(self, rng):
+        t = random_table(rng, n_states=2, order=6)
+        grid = AngleGrid(t.grid.nodes, 2.0 * t.grid.weights)
+        with pytest.raises(TableValidationError, match=r"weights sum to .*expected 4\*pi") as err:
+            AmplitudeTable(t.energy, t.initial_pair, grid, t.channels)
+        assert err.value.violations == [
+            f"grid: weights sum to {float(grid.weights.sum())!r}, expected 4*pi = {FOUR_PI!r}"
+        ]
+
+    def test_wrong_node_count_rejected(self, rng):
+        t = random_table(rng, n_states=2, order=6)
+        other = random_table(rng, n_states=2, order=7)
+        with pytest.raises(TableValidationError, match=r"shape \(2, 7, 2\), expected \(2, 6, 2\)"):
+            AmplitudeTable(t.energy, t.initial_pair, t.grid, other.channels)
+
+    def test_three_state_pair_rejected(self, rng):
+        t = random_table(rng, n_states=1, order=4)
+        pair = INITIAL + (ChannelState("F+HD", 0, 2, 0),)
+        with pytest.raises(TableValidationError, match="need exactly two states, got 3"):
+            AmplitudeTable(t.energy, pair, t.grid, t.channels)
+
+    def test_every_violation_listed_in_order(self, rng):
+        t = random_table(rng, n_states=2, order=6)
+        amps = t.channels[0].amplitudes.copy()
+        amps[0, 1, 1] = complex(0.0, math.inf)
+        bad = (ChannelBlock("D+HF", t.channels[0].states, amps),) + t.channels[1:]
+        pair = (INITIAL[0], ChannelState("F+HD", 0, 1, 1))
+        grid = AngleGrid(t.grid.nodes, 0.5 * t.grid.weights)
+        with pytest.raises(TableValidationError) as err:
+            AmplitudeTable(math.nan, pair, grid, bad)
+        assert [v.split(":")[0] for v in err.value.violations] == [
+            "initial_pair", "energy", "grid", "channel 'D+HF'"
+        ]
+        assert err.value.violations[3].endswith("at state 0, node 1, column 1")
+
+    def test_grid_violations_are_a_fresh_list(self):
+        g = AngleGrid(nodes=[1.0, 2.0], weights=[1.0, 2.0])
+        assert g.violations() is not g.violations()
+        g.violations().append("mutated")
+        assert len(g.violations()) == 1
+
+
+class TestContiguousBlocks:
+    """A block's Grams do not depend on the layout of the array it was given."""
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 64])
+    def test_strided_blocks_match_contiguous_copy(self, rng, order):
+        from cohres import cross_section_matrix, differential_matrix
+
+        grid = gauss_legendre_grid(order)
+        states = tuple(ChannelState("P", 0, j, 0) for j in range(3))
+        base = rng.normal(size=(3, order, 2)) + 1j * rng.normal(size=(3, order, 2))
+        layouts = {
+            "reversed": base[::-1, ::-1, ::-1],
+            "fortran": np.asfortranarray(base),
+        }
+        for name, amps in layouts.items():
+            strided = ChannelBlock("P", states, amps)
+            assert strided.amplitudes.flags.c_contiguous, name
+            t = AmplitudeTable(0.5, INITIAL, grid, (strided,))
+            ref = AmplitudeTable(
+                0.5, INITIAL, grid, (ChannelBlock("P", states, amps.copy(order="C")),)
+            )
+            assert repr(cross_section_matrix(t, "P")) == repr(cross_section_matrix(ref, "P"))
+            for k in range(order):
+                assert repr(differential_matrix(t, "P", k)) == repr(
+                    differential_matrix(ref, "P", k)
+                ), (name, k)

@@ -54,12 +54,12 @@ class TestCrossSectionMatrix:
     def test_hand_summed_two_node_example(self):
         # sigma(ij) = sum_k w_k conj(f_i) f_j summed by hand:
         # s11 = 2*1 + 3*1 = 5, s22 = 2*1 + 3*1 = 5, s12 = 2*1 + 3*(-1) = -1
+        # the weights [2, 3] break the 4*pi rule, so no table can carry them;
+        # the kernel under cross_section_matrix sums the same arrays
         amps = np.zeros((1, 2, 2), complex)
         amps[0, :, 0] = [1.0, 1.0]
         amps[0, :, 1] = [1.0, -1.0]
-        t = table_from_arrays(amps, [1.0, 2.0], [2.0, 3.0])
-        m = cross_section_matrix(t, "P")
-        assert (m.sigma11, m.sigma22, m.sigma12) == (5.0, 5.0, -1.0 + 0.0j)
+        assert _gram(amps, np.array([2.0, 3.0])) == (5.0, 5.0, -1.0 + 0.0j)
 
     def test_factorized_table_saturates_schwartz(self, rng):
         m = cross_section_matrix(factorized_table(rng), "P")
