@@ -30,6 +30,7 @@ from .errors import (
     CohresError,
     DegenerateChannelError,
     MalformedFileError,
+    NodeOutOfRangeError,
     NonPositiveError,
     SpecMismatchError,
     TableValidationError,
@@ -81,6 +82,7 @@ __all__ = [
     "ExitChannel",
     "ExitState",
     "MalformedFileError",
+    "NodeOutOfRangeError",
     "NonPositiveError",
     "RatioScan",
     "ResonanceSpec",

@@ -10,8 +10,8 @@ Subcommands:
 
 Angles and phases are degrees here and in the scan CSV's
 ``phi_at_rmin_deg``/``phi_at_rmax_deg`` columns; table and scenario files
-and the library are radians.  Each flag's valid range lives in its
-argparse type, so a bad value is a usage error before any file is read.
+and the library are radians.  The parser checks each flag's range and how
+flags combine, so a bad flag is a usage error before any file is read.
 All numbers print with repr, so CLI output equals library values exactly.
 Exit codes: 0 success, 1 domain error, 2 usage error.  A domain error is a
 ``CohresError`` or an ``OSError`` and prints as one line; any other
@@ -78,6 +78,11 @@ _STEP = _number(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _TOL = _number(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
 _ANGLE = _number(float, lambda x: 0.0 <= x <= 180.0, "degrees in [0, 180]")
 _ORACLE = _number(int, lambda n: 2 <= n <= MAX_ORACLE, f"an integer in [2, {MAX_ORACLE}]")
+_PAIR = _number(
+    lambda text: tuple(p.strip() for p in text.split(",")),
+    lambda pair: len(pair) == 2 and all(pair),
+    "'numerator,denominator'",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,9 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("control", help="extrema of a cross section or a channel ratio")
     p.set_defaults(handler=_cmd_control)
     p.add_argument("--table", required=True, help="amplitude table JSON file")
-    p.add_argument("--channel", help="single-channel mode: extremize this channel")
-    p.add_argument("--num", help="ratio mode: numerator channel")
-    p.add_argument("--den", help="ratio mode: denominator channel")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--channel", help="single-channel mode: extremize this channel")
+    mode.add_argument("--num", help="ratio mode: numerator channel (needs --den)")
+    p.add_argument("--den", help="ratio mode: denominator channel (needs --num)")
     p.add_argument("--angle", type=_ANGLE, help="degrees; use the nearest grid node")
     p.add_argument(
         "--oracle",
@@ -125,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emin", required=True, type=_FINITE)
     p.add_argument("--emax", required=True, type=_FINITE)
     p.add_argument("--step", required=True, type=_STEP)
-    p.add_argument("--pair", required=True, help="numerator,denominator channel labels")
+    p.add_argument("--pair", required=True, type=_PAIR, help="numerator,denominator labels")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("validate", help="check a table file against the invariants")
@@ -149,19 +155,12 @@ def _matrix(table, label: str, node: int | None):
 
 def _matrices(args, table):
     """(numerator, denominator-or-None) matrices per the control flags."""
-    if args.channel and (args.num or args.den):
-        raise CohresError("use either --channel or --num/--den, not both")
-    if bool(args.num) != bool(args.den):
-        raise CohresError("--num and --den must be given together")
-    if not args.channel and not args.num:
-        raise CohresError("need --channel or --num/--den")
-
     node = _node(table, args.angle)
     if node is not None:
         print(
             f"angle node {node} at theta_deg = {_fmt(math.degrees(table.grid.nodes[node]))}"
         )
-    if args.channel:
+    if args.num is None:
         return _matrix(table, args.channel, node), None
     return _matrix(table, args.num, node), _matrix(table, args.den, node)
 
@@ -223,10 +222,7 @@ def _scan_energies(parser, args) -> list[float]:
 
 def _cmd_scan(args) -> int:
     cfg = read_scenario(args.config)
-    pair = tuple(p.strip() for p in args.pair.split(","))
-    if len(pair) != 2 or not all(pair):
-        raise CohresError(f"--pair must be 'numerator,denominator', got {args.pair!r}")
-    rows = energy_scan(cfg, args.energies, pair)
+    rows = energy_scan(cfg, args.energies, args.pair)
     write_scan_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -249,6 +245,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "scan":
         args.energies = _scan_energies(parser, args)
+    if args.command == "control" and (args.num is None) != (args.den is None):
+        parser.error("--num and --den must be given together")
     try:
         return args.handler(args)
     except (CohresError, OSError) as exc:

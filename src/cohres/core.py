@@ -48,10 +48,29 @@ WEIGHT_SUM_RTOL = 1e-12
 MAX_GRID_ORDER = 1024  # leggauss(n) builds a dense n x n matrix, 8 MB at the cap
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only C-contiguous copy of ``a``; the caller's array stays writable."""
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
+
+
+def _pair_violations(pair: tuple) -> list[str]:
+    """The initial-pair rule of tables and scenarios: one message per violation."""
+    if len(pair) != 2:
+        return [f"initial_pair: need exactly two states, got {len(pair)}"]
+    a, b = pair
+    out = []
+    if a == b:
+        out.append("initial_pair: the two initial states must be distinct")
+    if a.arrangement != b.arrangement:
+        out.append(f"initial_pair: arrangements differ ({a.arrangement!r} vs {b.arrangement!r})")
+    if a.m != b.m:
+        out.append(
+            "initial_pair: helicities differ; only azimuthally symmetric "
+            "tables (equal m) are supported"
+        )
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -90,8 +109,8 @@ class AngleGrid:
     _violations: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _frozen(np.asarray(self.nodes, dtype=float)))
-        object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, dtype=float)))
+        object.__setattr__(self, "nodes", _frozen(self.nodes, float))
+        object.__setattr__(self, "weights", _frozen(self.weights, float))
         object.__setattr__(self, "_violations", tuple(self._check()))
 
     def __len__(self) -> int:
@@ -157,8 +176,8 @@ class ChannelBlock:
 
     ``amplitudes[n, k, i]`` is the transition amplitude into final state n
     at angle node k from initial state i (column 0 or 1), in A*sr^(-1/2).
-    They are stored C-contiguous, so a block's Grams do not depend on the
-    memory layout of the array it was given.
+    They are stored as a read-only C-contiguous copy, so a block's Grams do
+    not depend on the memory layout of the caller's array, which stays theirs.
     """
 
     arrangement: str
@@ -167,9 +186,7 @@ class ChannelBlock:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(
-            self, "amplitudes", _frozen(np.ascontiguousarray(self.amplitudes, dtype=complex))
-        )
+        object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, complex))
 
 
 @dataclass(frozen=True)
@@ -195,24 +212,7 @@ class AmplitudeTable:
             raise TableValidationError(violations)
 
     def _check(self) -> list[str]:
-        out: list[str] = []
-        if len(self.initial_pair) != 2:
-            out.append(
-                f"initial_pair: need exactly two states, got {len(self.initial_pair)}"
-            )
-        else:
-            a, b = self.initial_pair
-            if a == b:
-                out.append("initial_pair: the two initial states must be distinct")
-            if a.arrangement != b.arrangement:
-                out.append(
-                    f"initial_pair: arrangements differ ({a.arrangement!r} vs {b.arrangement!r})"
-                )
-            if a.m != b.m:
-                out.append(
-                    "initial_pair: helicities differ; only azimuthally symmetric "
-                    "tables (equal m) are supported"
-                )
+        out = _pair_violations(self.initial_pair)
         if not math.isfinite(self.energy):
             out.append("energy: must be finite")
         out.extend(self.grid.violations())

@@ -27,6 +27,10 @@ class UnknownChannelError(CohresError, KeyError):
     __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
+class NodeOutOfRangeError(CohresError, IndexError):
+    """A grid node index lies outside the table's angle grid."""
+
+
 class DegenerateChannelError(CohresError):
     """A diagnostic is undefined because a diagonal cross section vanishes."""
 
@@ -46,8 +50,8 @@ class MalformedFileError(CohresError):
 class TableValidationError(CohresError):
     """A table violates its invariants; ``violations`` lists each one.
 
-    Raised by the ``AmplitudeTable`` constructor, so by every path that
-    builds a table: by hand, from a file or from a scenario.
+    Raised by the ``AmplitudeTable`` constructor, so by every path that builds
+    a table, and by ``ScenarioConfig`` for an initial pair no table can carry.
     """
 
     def __init__(self, violations: list[str]):

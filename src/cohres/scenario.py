@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import MAX_GRID_ORDER, AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
-from .errors import CohresError, MalformedFileError
+from .core import _pair_violations
+from .errors import CohresError, MalformedFileError, TableValidationError
 from .resonance import (
     BackgroundChannel,
     BackgroundSpec,
@@ -36,7 +37,7 @@ class ScenarioConfig:
     ``masses_amu`` carries the collision masses for kinematic bookkeeping
     (they never enter the amplitudes); ``energy_offset`` is a labelling
     offset only, recording which zero the scan energies are quoted
-    against.
+    against.  The initial pair must pass the table's pair rule, checked here.
     """
 
     resonance: ResonanceSpec
@@ -54,6 +55,8 @@ class ScenarioConfig:
                 f"grid_order must lie in [1, {MAX_GRID_ORDER}], got {self.grid_order!r}"
             )
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
+        if violations := _pair_violations(self.initial_pair):
+            raise TableValidationError(violations)
 
     def grid(self) -> AngleGrid:
         return gauss_legendre_grid(self.grid_order)
@@ -169,17 +172,13 @@ def _scenario_from_dict(doc: dict, where: str = "scenario") -> ScenarioConfig:
         background = BackgroundSpec(
             reference_energy=float(bg_doc["reference_energy_eV"]), channels=channels
         )
-        pair = doc["initial_pair"]
-        if len(pair) != 2:
-            raise MalformedFileError(f"{where}.initial_pair: need exactly two states")
         return ScenarioConfig(
             resonance=resonance,
             background=background,
             mix=float(doc["mix"]),
             grid_order=_int_in(doc, "grid_order"),
-            initial_pair=(
-                _state_in(pair[0], f"{where}.initial_pair"),
-                _state_in(pair[1], f"{where}.initial_pair"),
+            initial_pair=tuple(
+                _state_in(s, f"{where}.initial_pair") for s in doc["initial_pair"]
             ),
             masses_amu={str(k): float(v) for k, v in doc.get("masses_amu", {}).items()},
             energy_offset=float(doc.get("energy_offset_eV", 0.0)),

@@ -119,16 +119,9 @@ def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
     doc = _load_object(text, where)
     try:
         grid_doc = doc["angle_grid"]
-        grid = AngleGrid(
-            nodes=np.asarray(grid_doc["nodes_rad"], dtype=float),
-            weights=np.asarray(grid_doc["weights_sr"], dtype=float),
-        )
-        initial = doc["initial"]
-        if not isinstance(initial, list) or len(initial) != 2:
-            raise MalformedFileError(f"{where}.initial: need exactly two state records")
-        pair = (
-            _state_in(initial[0], f"{where}.initial[0]"),
-            _state_in(initial[1], f"{where}.initial[1]"),
+        grid = AngleGrid(nodes=grid_doc["nodes_rad"], weights=grid_doc["weights_sr"])
+        pair = tuple(
+            _state_in(s, f"{where}.initial[{i}]") for i, s in enumerate(doc["initial"])
         )
         blocks = []
         for idx, ch in enumerate(doc["channels"]):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .core import AmplitudeTable
-from .errors import CohresError, DegenerateChannelError
+from .errors import CohresError, DegenerateChannelError, NodeOutOfRangeError
 
 __all__ = [
     "XsecMatrix",
@@ -166,12 +166,12 @@ def differential_matrix(table: AmplitudeTable, channel: str, node: int) -> XsecM
     """Angle-resolved interference matrix at one grid node (A^2/sr).
 
     No quadrature weight is applied; the sum runs over final states only.
-    ``node`` must index the stored grid (no interpolation between nodes).
+    ``node`` must index the stored grid (no interpolation), else NodeOutOfRangeError.
     """
     block = table.channel(channel)
     n_nodes = len(table.grid)
     if not 0 <= node < n_nodes:
-        raise IndexError(f"node {node} outside grid of {n_nodes} nodes")
+        raise NodeOutOfRangeError(f"node {node} outside grid of {n_nodes} nodes")
     s11, s22, s12 = _gram(block.amplitudes[:, node : node + 1, :], None)
     return XsecMatrix(
         channel=channel, kind="differential", sigma11=s11, sigma22=s22, sigma12=s12, node=node

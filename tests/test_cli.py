@@ -120,11 +120,20 @@ class TestControlCommand:
         node = parse_line(r"^angle node (\d+) at theta_deg = (\S+)$", out)
         assert int(node.group(1)) == 63
 
-    def test_flag_conflicts_are_domain_errors(self, fhd_table, capsys):
-        assert main(["control", "--table", str(fhd_table), "--num", "D+HF"]) == 1
-        assert main(["control", "--table", str(fhd_table)]) == 1
-        err = capsys.readouterr().err
-        assert "cohres: error" in err
+    def test_flag_conflicts_are_usage_errors(self, tmp_path, capsys):
+        # the table does not exist: a check made after reading it would exit 1
+        table = str(tmp_path / "missing.json")
+        for flags in (
+            ["--num", "D+HF"],
+            ["--channel", "D+HF", "--den", "H+DF"],
+            ["--channel", "D+HF", "--num", "H+DF"],
+            [],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["control", "--table", table, *flags])
+            assert exc.value.code == 2, flags
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error: " in captured.err, flags
 
     def test_unknown_channel_is_domain_error(self, fhd_table, capsys):
         assert main(["control", "--table", str(fhd_table), "--channel", "X+Y"]) == 1
@@ -229,25 +238,17 @@ class TestScanCommand:
                 assert rec[header.index(col)] == "inf"
             assert rec[header.index("schwartz[H+DF]")] == "nan"
 
-    def test_bad_pair_is_domain_error(self, tmp_path, capsys):
-        rc = main(
-            [
-                "scan",
-                "--config",
-                str(FHD_SCENARIO),
-                "--emin",
-                "0.25",
-                "--emax",
-                "0.26",
-                "--step",
-                "0.005",
-                "--pair",
-                "only-one",
-                "--out",
-                str(tmp_path / "x.csv"),
-            ]
-        )
-        assert rc == 1
+    def test_bad_pair_is_usage_error(self, tmp_path, capsys):
+        # the scenario does not exist: a check made after reading it would exit 1
+        out = tmp_path / "x.csv"
+        for pair in ("only-one", "A,", "A,B,C"):
+            with pytest.raises(SystemExit) as exc:
+                main(["scan", "--config", str(tmp_path / "missing.json"), "--emin", "0.25",
+                      "--emax", "0.26", "--step", "0.005", "--pair", pair, "--out", str(out)])
+            assert exc.value.code == 2, pair
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert "argument --pair: expected 'numerator,denominator'" in captured.err
 
 
 class TestValidateCommand:
@@ -283,6 +284,18 @@ class TestValidateCommand:
             "",
         )
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_number_of_initial_records(self, count, fhd_table, tmp_path, capsys):
+        doc = json.loads(fhd_table.read_text())
+        doc["initial"] = (doc["initial"] + [dict(doc["initial"][0], j=2)])[:count]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", "--table", str(bad)]) == 1
+        assert capsys.readouterr() == (
+            f"initial_pair: need exactly two states, got {count}\n1 violation(s)\n", ""
+        )
+
 
 def invalid_pair(doc):
     doc["initial_pair"][1]["m"] = 1
@@ -316,7 +329,8 @@ class TestInvalidPairScenario:
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("cohres: error: ")
+        assert captured.err.startswith(f"cohres: error: {config}: ")  # the file, before any energy
+        assert "at energy" not in captured.err
         assert captured.err.count("\n") == 1 and message in captured.err
 
 

@@ -252,6 +252,23 @@ class TestTableConstruction:
         assert len(g.violations()) == 1
 
 
+class TestCallerArrays:
+    """A grid or block stores its own copy; the caller's arrays stay theirs."""
+
+    def test_caller_arrays_stay_writable(self):
+        grid = gauss_legendre_grid(3)
+        nodes, weights = grid.nodes.copy(), grid.weights.copy()
+        amps = np.ones((1, 3, 2), complex)
+        g = AngleGrid(nodes, weights)
+        block = ChannelBlock("P", (ChannelState("P", 0, 0, 0),), amps)
+        for a in (nodes, weights, amps):
+            assert a.flags.writeable
+            a[0] = 9.0  # raised "assignment destination is read-only" when the block froze it
+        assert g.nodes[0] == grid.nodes[0] and g.weights[0] == grid.weights[0]
+        assert np.all(block.amplitudes == 1.0)
+        assert not (g.nodes.flags.writeable or block.amplitudes.flags.writeable)
+
+
 class TestContiguousBlocks:
     """A block's Grams do not depend on the layout of the array it was given."""
 

@@ -6,7 +6,7 @@ from cohres.errors import UnknownChannelError
 
 def test_every_error_is_a_value_error():
     classes = [c for _, c in inspect.getmembers(cohres.errors, inspect.isclass)]
-    assert len(classes) == 9
+    assert len(classes) == 10
     assert all(issubclass(c, ValueError) for c in classes)
 
 

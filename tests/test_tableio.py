@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cohres import (
+    ChannelState,
     MalformedFileError,
     TableValidationError,
     read_scenario,
@@ -13,8 +14,8 @@ from cohres import (
     write_scenario,
     write_table,
 )
-from cohres.tableio import table_from_json, table_to_json
-from conftest import FHD_SCENARIO, random_table
+from cohres.tableio import _state_out, table_from_json, table_to_json
+from conftest import FHD_SCENARIO, INITIAL, random_table
 
 
 def tables_equal(a, b) -> bool:
@@ -207,6 +208,34 @@ class TestScenarioIo:
         ) == 1
         assert not out.exists()
         assert capsys.readouterr().err.count(f"cohres: error: {path}: SpecMismatchError") == 2
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ([INITIAL[0], ChannelState("F+HD", 0, 1, 1)], "helicities differ"),
+            ([INITIAL[0], INITIAL[0]], "the two initial states must be distinct"),
+            ([*INITIAL, ChannelState("F+HD", 0, 2, 0)], "need exactly two states, got 3"),
+        ],
+        ids=["mixed-m", "repeated", "three-states"],
+    )
+    def test_invalid_pair_rejected_before_any_grid(self, tmp_path, monkeypatch, pair, message):
+        import cohres.core
+
+        def no_grid(order):
+            raise AssertionError(f"a grid of order {order} was built")
+
+        monkeypatch.setattr(cohres.core, "leggauss", no_grid)
+        cfg = read_scenario(FHD_SCENARIO)
+        with pytest.raises(TableValidationError, match=message) as err:
+            replace(cfg, initial_pair=tuple(pair))
+        assert len(err.value.violations) == 1
+        doc = json.loads(FHD_SCENARIO.read_text())
+        doc["initial_pair"] = [_state_out(s) for s in pair]
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError, match=message) as err:
+            read_scenario(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("value", ["1e999", "64.9", '"64"', "true"])
     def test_grid_order_must_be_an_integer(self, tmp_path, value):

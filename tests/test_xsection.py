@@ -10,6 +10,7 @@ from cohres import (
     AngleGrid,
     ChannelBlock,
     ChannelState,
+    CohresError,
     ControlParams,
     DegenerateChannelError,
     UnknownChannelError,
@@ -155,6 +156,9 @@ class TestDifferentialMatrix:
             differential_matrix(t, "D+HF", 4)
         with pytest.raises(IndexError):
             differential_matrix(t, "D+HF", -1)
+        for node in (4, -1):  # every rejection is a CohresError
+            with pytest.raises(CohresError, match=f"node {node} outside grid of 4 nodes"):
+                differential_matrix(t, "D+HF", node)
 
 
 class TestXsecMatrixInvariants:
