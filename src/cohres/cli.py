@@ -10,8 +10,9 @@ Subcommands:
 
 Angles and phases are degrees here and in the scan CSV's
 ``phi_at_rmin_deg``/``phi_at_rmax_deg`` columns; table and scenario files
-and the library are radians.  The parser checks each flag's range and how
-flags combine, so a bad flag is a usage error before any file is read.
+and the library are radians.  The subcommand's parser checks each flag's
+range and how flags combine, so a bad flag is a usage error, reported with
+that subcommand's usage line, before any file is read.
 All numbers print with repr, so CLI output equals library values exactly.
 Exit codes: 0 success, 1 domain error, 2 usage error.  A domain error is a
 ``CohresError`` or an ``OSError`` and prints as one line; any other
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output table path")
 
     p = sub.add_parser("control", help="extrema of a cross section or a channel ratio")
-    p.set_defaults(handler=_cmd_control)
+    p.set_defaults(handler=_cmd_control, error=p.error)
     p.add_argument("--table", required=True, help="amplitude table JSON file")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--channel", help="single-channel mode: extremize this channel")
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle", type=_ANGLE, help="degrees; omit for the integral ratio")
 
     p = sub.add_parser("scan", help="energy scan to CSV")
-    p.set_defaults(handler=_cmd_scan)
+    p.set_defaults(handler=_cmd_scan, error=p.error)
     p.add_argument("--config", required=True)
     p.add_argument("--emin", required=True, type=_FINITE)
     p.add_argument("--emax", required=True, type=_FINITE)
@@ -203,20 +204,20 @@ def _cmd_schwartz(args) -> int:
     return 0
 
 
-def _scan_energies(parser, args) -> list[float]:
+def _scan_energies(args) -> list[float]:
     """The scan grid emin + i*step, checked before any file is read."""
     if args.emin > args.emax:
-        parser.error(f"--emin must not exceed --emax, got {args.emin!r} > {args.emax!r}")
+        args.error(f"--emin must not exceed --emax, got {args.emin!r} > {args.emax!r}")
     span = (args.emax - args.emin) / args.step
     if not math.isfinite(span) or span + 1.0 > MAX_SCAN_ROWS:
-        parser.error(
+        args.error(
             f"--emin, --emax and --step give {span + 1.0!r} energies; at most {MAX_SCAN_ROWS}"
         )
     energies = [args.emin + i * args.step for i in range(round(span) + 1)]
     try:
         _check_energies(energies)
     except CohresError as exc:
-        parser.error(f"--step {args.step!r} from --emin {args.emin!r}: {exc}")
+        args.error(f"--step {args.step!r} from --emin {args.emin!r}: {exc}")
     return energies
 
 
@@ -241,12 +242,11 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "scan":
-        args.energies = _scan_energies(parser, args)
+        args.energies = _scan_energies(args)
     if args.command == "control" and (args.num is None) != (args.den is None):
-        parser.error("--num and --den must be given together")
+        args.error("--num and --den must be given together")
     try:
         return args.handler(args)
     except (CohresError, OSError) as exc:

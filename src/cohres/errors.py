@@ -52,8 +52,10 @@ class TableValidationError(CohresError):
 
     Raised by the ``AmplitudeTable`` constructor, so by every path that builds
     a table, and by ``ScenarioConfig`` for an initial pair no table can carry.
+    ``where``, the file ``read_table`` read, prefixes the message, not the list.
     """
 
-    def __init__(self, violations: list[str]):
+    def __init__(self, violations: list[str], where: str | None = None):
         self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        message = "; ".join(self.violations)
+        super().__init__(message if where is None else f"{where}: {message}")

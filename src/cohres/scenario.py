@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .core import MAX_GRID_ORDER, AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
 from .core import _pair_violations
-from .errors import CohresError, MalformedFileError, TableValidationError
+from .errors import CohresError, TableValidationError
 from .resonance import (
     BackgroundChannel,
     BackgroundSpec,
@@ -25,7 +25,8 @@ from .resonance import (
     _check_specs,
     synthesize_table,
 )
-from .tableio import _cx, _cx_out, _int_in, _load_object, _read_text, _state_in, _state_out
+from .tableio import _cx, _cx_out, _load_object, _read_text, _reading, _state_in, _state_out
+from .tableio import _numbers, _typed
 
 __all__ = ["ScenarioConfig", "read_scenario", "write_scenario"]
 
@@ -126,67 +127,58 @@ def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _scenario_from_dict(doc: dict, where: str = "scenario") -> ScenarioConfig:
-    try:
-        res_doc = doc["resonance"]
-        bg_doc = doc["background"]
-        exits = tuple(
-            ExitChannel(
-                arrangement=str(ch["arrangement"]),
-                states=tuple(
-                    ExitState(
-                        state=_state_in(s, f"{where}.resonance"),
-                        coupling=_cx(s["coupling"], f"{where}.resonance.coupling"),
-                        shape=tuple(float(c) for c in s["shape"]),
-                    )
-                    for s in ch["states"]
-                ),
-            )
-            for ch in res_doc["exits"]
-        )
-        resonance = ResonanceSpec(
-            epsilon_r=float(res_doc["epsilon_r_eV"]),
-            gamma_width=float(res_doc["gamma_width_eV"]),
-            entrance=tuple(_cx(g, f"{where}.resonance.entrance") for g in res_doc["entrance"]),
-            exits=exits,
-        )
-        channels = tuple(
-            BackgroundChannel(
-                arrangement=str(ch["arrangement"]),
-                states=tuple(
-                    BackgroundState(
-                        state=_state_in(s, f"{where}.background"),
-                        amplitude=_cx(s["amplitude"], f"{where}.background.amplitude"),
-                        slope=_cx(s["slope"], f"{where}.background.slope"),
-                        shape=tuple(float(c) for c in s["shape"]),
-                        column_weights=tuple(
-                            _cx(w, f"{where}.background.column_weights")
-                            for w in s.get("column_weights", [[1.0, 0.0], [1.0, 0.0]])
-                        ),
-                    )
-                    for s in ch["states"]
-                ),
-            )
-            for ch in bg_doc["channels"]
-        )
-        background = BackgroundSpec(
-            reference_energy=float(bg_doc["reference_energy_eV"]), channels=channels
-        )
-        return ScenarioConfig(
-            resonance=resonance,
-            background=background,
-            mix=float(doc["mix"]),
-            grid_order=_int_in(doc, "grid_order"),
-            initial_pair=tuple(
-                _state_in(s, f"{where}.initial_pair") for s in doc["initial_pair"]
+def _scenario_from_dict(doc: dict) -> ScenarioConfig:
+    res_doc = doc["resonance"]
+    exits = tuple(
+        ExitChannel(
+            arrangement=_typed(ch["arrangement"], str, "arrangement"),
+            states=tuple(
+                ExitState(
+                    state=_state_in(s),
+                    coupling=_cx(s["coupling"], "coupling"),
+                    shape=_numbers(s["shape"], "shape"),
+                )
+                for s in ch["states"]
             ),
-            masses_amu={str(k): float(v) for k, v in doc.get("masses_amu", {}).items()},
-            energy_offset=float(doc.get("energy_offset_eV", 0.0)),
         )
-    except MalformedFileError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedFileError(f"{where}: {exc!r}") from exc
+        for ch in res_doc["exits"]
+    )
+    resonance = ResonanceSpec(
+        epsilon_r=_typed(res_doc["epsilon_r_eV"], float, "epsilon_r_eV"),
+        gamma_width=_typed(res_doc["gamma_width_eV"], float, "gamma_width_eV"),
+        entrance=tuple(_cx(g, f"entrance[{i}]") for i, g in enumerate(res_doc["entrance"])),
+        exits=exits,
+    )
+    channels = tuple(
+        BackgroundChannel(
+            arrangement=_typed(ch["arrangement"], str, "arrangement"),
+            states=tuple(
+                BackgroundState(
+                    state=_state_in(s),
+                    amplitude=_cx(s["amplitude"], "amplitude"),
+                    slope=_cx(s["slope"], "slope"),
+                    shape=_numbers(s["shape"], "shape"),
+                    column_weights=tuple(
+                        _cx(w, f"column_weights[{i}]")
+                        for i, w in enumerate(s.get("column_weights", [[1.0, 0.0], [1.0, 0.0]]))
+                    ),
+                )
+                for s in ch["states"]
+            ),
+        )
+        for ch in doc["background"]["channels"]
+    )
+    reference_energy = doc["background"]["reference_energy_eV"]
+    background = BackgroundSpec(_typed(reference_energy, float, "reference_energy_eV"), channels)
+    return ScenarioConfig(
+        resonance=resonance,
+        background=background,
+        mix=_typed(doc["mix"], float, "mix"),
+        grid_order=_typed(doc["grid_order"], int, "grid_order"),
+        initial_pair=tuple(map(_state_in, doc["initial_pair"])),
+        masses_amu={k: _typed(m, float, k) for k, m in doc.get("masses_amu", {}).items()},
+        energy_offset=_typed(doc.get("energy_offset_eV", 0.0), float, "energy_offset_eV"),
+    )
 
 
 def write_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
@@ -196,6 +188,11 @@ def write_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
 
 
 def read_scenario(path: str | Path) -> ScenarioConfig:
+    """Parse a scenario file, each field taken only as its JSON type.
+
+    Any fault is a MalformedFileError whose message starts with the path.
+    """
     path = Path(path)
     doc = _load_object(_read_text(path), str(path))
-    return _scenario_from_dict(doc, where=str(path))
+    with _reading(str(path)):
+        return _scenario_from_dict(doc)

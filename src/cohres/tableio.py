@@ -15,19 +15,20 @@ the producer resolves its own scattering output onto an angle grid and
 writes this document; partial-wave resummation conventions stay on the
 producer's side of the contract.
 
-The JSON codec for state records and [re, im] complex numbers, and the
-repr float formatter of the CSV and command-line output, live here too.
+Both readers' field rules (``_typed``, ``_numbers``), fault rule (``_reading``)
+and codecs for state records and [re, im] pairs live here, as does ``_fmt``.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
-from .errors import CohresError, MalformedFileError
+from .errors import MalformedFileError, TableValidationError
 
 __all__ = ["write_table", "read_table", "table_to_json", "table_from_json"]
 
@@ -37,12 +38,30 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _cx(pair, where: str) -> complex:
-    try:
-        re, im = pair
-        return complex(float(re), float(im))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedFileError(f"{where}: expected [re, im], got {pair!r}") from exc
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(x, kind: type, what: str):
+    """``x`` if its JSON type is ``kind``; a float field also takes an int, never a bool."""
+    if type(x) is kind or (kind is float and type(x) is int):
+        return kind(x)  # only an int read as a float changes
+    raise TypeError(f"{what} must be {_KINDS[kind]}, got {x!r}")
+
+
+def _numbers(xs, what: str) -> list:
+    """``xs`` if it is a JSON array of numbers, its element types checked in one step."""
+    if type(xs) is not list:
+        raise TypeError(f"{what} must be an array of numbers, got {xs!r}")
+    if not {*map(type, xs)} <= {int, float}:
+        for i, x in enumerate(xs):  # raises at the first element that is not a number
+            _typed(x, float, f"{what}[{i}]")
+    return xs
+
+
+def _cx(pair, what: str) -> complex:
+    if len(_numbers(pair, what)) != 2:
+        raise TypeError(f"{what} must be [re, im], got {pair!r}")
+    return complex(*pair)
 
 
 def _cx_out(z: complex) -> list[float]:
@@ -53,24 +72,18 @@ def _state_out(s: ChannelState) -> dict:
     return {"arrangement": s.arrangement, "v": s.v, "j": s.j, "m": s.m}
 
 
-def _int_in(d: dict, key: str) -> int:
-    """``d[key]`` if it is a JSON integer; ``int()`` would truncate 64.9 and parse "64"."""
-    x = d[key]
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise CohresError(f"{key} must be an integer, got {x!r}")
-    return x
+def _state_in(d: dict) -> ChannelState:
+    arrangement = _typed(d["arrangement"], str, "arrangement")
+    return ChannelState(arrangement, *(_typed(d[k], int, k) for k in "vjm"))
 
 
-def _state_in(d: dict, where: str) -> ChannelState:
+@contextmanager
+def _reading(where: str):
+    """Report a fault in the document at ``where`` as ``<where>: <Class>: <message>``."""
     try:
-        return ChannelState(
-            arrangement=str(d["arrangement"]),
-            v=_int_in(d, "v"),
-            j=_int_in(d, "j"),
-            m=_int_in(d, "m"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"{where}: bad state record {d!r}: {exc}") from exc
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedFileError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
 def _read_text(path: Path) -> str:
@@ -117,37 +130,25 @@ def table_to_json(table: AmplitudeTable) -> str:
 
 def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
     doc = _load_object(text, where)
-    try:
-        grid_doc = doc["angle_grid"]
-        grid = AngleGrid(nodes=grid_doc["nodes_rad"], weights=grid_doc["weights_sr"])
-        pair = tuple(
-            _state_in(s, f"{where}.initial[{i}]") for i, s in enumerate(doc["initial"])
-        )
+    with _reading(where):
+        grid = AngleGrid(*(_numbers(doc["angle_grid"][k], k) for k in ("nodes_rad", "weights_sr")))
+        pair = tuple(map(_state_in, doc["initial"]))
         blocks = []
         for idx, ch in enumerate(doc["channels"]):
-            states = tuple(
-                _state_in(s, f"{where}.channels[{idx}].states") for s in ch["states"]
-            )
-            flat = ch["amplitudes"]
-            expected = len(states) * len(grid) * 4
-            if len(flat) != expected:
-                raise MalformedFileError(
-                    f"{where}.channels[{idx}]: amplitude array has {len(flat)} numbers, "
+            states = tuple(map(_state_in, ch["states"]))
+            flat = _numbers(ch["amplitudes"], f"channels[{idx}].amplitudes")
+            if len(flat) != (expected := len(states) * len(grid) * 4):
+                raise ValueError(
+                    f"channels[{idx}]: amplitude array has {len(flat)} numbers, "
                     f"expected {expected} (= states * nodes * 4)"
                 )
             amps = np.asarray(flat, dtype=float).reshape(len(states), len(grid), 4).view(complex)
-            blocks.append(
-                ChannelBlock(
-                    arrangement=str(ch["arrangement"]), states=states, amplitudes=amps
-                )
-            )
-        energy = float(doc["energy_eV"])
-    except MalformedFileError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedFileError(f"{where}: {exc!r}") from exc
-    # outside the try: a TableValidationError is a ValueError, and must keep its list
-    return AmplitudeTable(energy=energy, initial_pair=pair, grid=grid, channels=tuple(blocks))
+            blocks.append(ChannelBlock(_typed(ch["arrangement"], str, "arrangement"), states, amps))
+        energy = _typed(doc["energy_eV"], float, "energy_eV")
+    try:
+        return AmplitudeTable(energy=energy, initial_pair=pair, grid=grid, channels=tuple(blocks))
+    except TableValidationError as exc:  # built outside _reading: it keeps class and list
+        raise TableValidationError(exc.violations, where) from None
 
 
 def write_table(table: AmplitudeTable, path: str | Path) -> None:
@@ -158,10 +159,10 @@ def write_table(table: AmplitudeTable, path: str | Path) -> None:
 def read_table(path: str | Path) -> AmplitudeTable:
     """Parse a table file; the table checks its own invariants as it is built.
 
-    Raises MalformedFileError (with the file locus) if the document is not
-    UTF-8 or cannot be parsed, TableValidationError (listing every
-    violation) if it parses but violates table invariants, and OSError for
-    I/O failures.
+    Raises MalformedFileError if the document is not UTF-8, does not parse, or
+    has a field missing or not of its JSON type (see ``_typed``, ``_numbers``);
+    TableValidationError, listing every violation, if it parses but violates
+    table invariants; both messages start with the path.  OSError for I/O.
     """
     path = Path(path)
     return table_from_json(_read_text(path), where=str(path))

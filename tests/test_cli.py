@@ -265,6 +265,19 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "weights sum" in out and "1 violation(s)" in out
 
+    @pytest.mark.parametrize("cmd", ["control", "schwartz"])
+    def test_invalid_table_error_names_the_file(self, cmd, fhd_table, tmp_path, capsys):
+        doc = json.loads(fhd_table.read_text())
+        doc["angle_grid"]["weights_sr"] = [w / 2 for w in doc["angle_grid"]["weights_sr"]]
+        bad = tmp_path / "half.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([cmd, "--table", str(bad), "--channel", "D+HF"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cohres: error: {bad}: grid: weights sum to ")
+        assert captured.err.count("\n") == 1
+
     def test_every_violation_printed_in_order(self, fhd_table, tmp_path, capsys):
         doc = json.loads(fhd_table.read_text())
         weights = [w / 2 for w in doc["angle_grid"]["weights_sr"]]
@@ -413,6 +426,32 @@ class TestExitCodes:
         assert not out.exists()
         if flag is not None:  # a single flag's range is its argparse type's to report
             assert f"cohres {argv[0]}: error: argument {flag}: expected " in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*ORACLE_UNREAD[:3], "--num", "D+HF"],
+            [*ORACLE_UNREAD[:3], "--channel", "D+HF", "--den", "H+DF"],
+            [*SCAN_UNREAD, "--emin", "0.3", "--emax", "0.2", "--step", "0.005"],
+            [*SCAN_UNREAD, "--emin", "0", "--emax", "1", "--step", "1e-12"],
+            [*SCAN_UNREAD, "--emin", "1", "--emax", "1.0000000000000002", "--step", "1e-17"],
+        ],
+        ids=["num-without-den", "den-with-channel", "emin-above-emax", "too-many-rows",
+             "grid-not-increasing"],
+    )
+    def test_flag_combination_reports_subcommand_usage(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [a.format(missing=tmp_path / "missing.json", out=out) for a in argv]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: cohres {argv[0]} [-h] ")
+        error = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(error) == 1 and error[0].startswith(f"cohres {argv[0]}: error: --")
+        assert not out.exists()
 
     def test_missing_file_is_exit_1(self, tmp_path, capsys):
         assert main(["schwartz", "--table", str(tmp_path / "no.json"), "--channel", "x"]) == 1

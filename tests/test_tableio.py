@@ -124,6 +124,74 @@ class TestTableErrors:
             read_table(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("energy_eV",), "0.5", "energy_eV must be a number, got '0.5'"),
+            (("energy_eV",), True, "energy_eV must be a number, got True"),
+            (("energy_eV",), None, "energy_eV must be a number, got None"),
+            (("channels", 0, "amplitudes", 3), True, r"amplitudes\[3\] must be a number"),
+            (("angle_grid", "nodes_rad", 1), "0.5", r"nodes_rad\[1\] must be a number"),
+            (("angle_grid", "weights_sr"), "1", "weights_sr must be an array of numbers"),
+            (("channels", 1, "arrangement"), None, "arrangement must be a string, got None"),
+            (("channels", 1, "arrangement"), 5, "arrangement must be a string, got 5"),
+            (("initial", 0, "arrangement"), None, "arrangement must be a string, got None"),
+            (("channels", 0, "states", 0, "arrangement"), 5, "arrangement must be a string"),
+        ],
+        ids=[
+            "quoted-energy",
+            "bool-energy",
+            "null-energy",
+            "bool-amplitude",
+            "quoted-node",
+            "quoted-weights",
+            "null-label",
+            "int-label",
+            "null-initial-label",
+            "int-state-label",
+        ],
+    )
+    def test_field_is_taken_only_as_its_json_type(self, rng, tmp_path, capsys, keys, value,
+                                                  message):
+        from cohres.cli import main
+
+        doc = json.loads(table_to_json(random_table(rng, n_states=1, order=4)))
+        parent = doc
+        for k in keys[:-1]:
+            parent = parent[k]
+        parent[keys[-1]] = value
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError, match=message) as err:
+            read_table(path)
+        assert str(err.value).startswith(f"{path}: TypeError: ")
+        capsys.readouterr()
+        assert main(["validate", "--table", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"cohres: error: {err.value}\n")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_tokens_reach_the_table_checks(self, rng, token):
+        doc = json.loads(table_to_json(random_table(rng, n_states=1, order=4)))
+        doc["energy_eV"] = "ENERGY"
+        doc["channels"][0]["amplitudes"][0] = "AMPLITUDE"
+        text = json.dumps(doc).replace('"ENERGY"', token).replace('"AMPLITUDE"', token)
+        with pytest.raises(TableValidationError) as err:
+            table_from_json(text)
+        assert err.value.violations == [
+            "energy: must be finite",
+            "channel 'D+HF': non-finite amplitude at state 0, node 0, column 0",
+        ]
+
+    def test_integers_are_numbers(self, rng):
+        t = random_table(rng, n_states=1, order=4)
+        doc = json.loads(table_to_json(t))
+        doc["energy_eV"] = 1
+        doc["channels"][0]["amplitudes"][:4] = [0, 1, -2, 0]
+        back = table_from_json(json.dumps(doc))
+        assert back.energy == 1.0 and type(back.energy) is float
+        assert back.channels[0].amplitudes[0, 0].tolist() == [1j, -2 + 0j]
+        assert tables_equal(table_from_json(table_to_json(back)), back)
+
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             read_table(tmp_path / "absent.json")
@@ -271,7 +339,12 @@ class TestScenarioIo:
         parent[keys[-1]] = value
         path = tmp_path / "s.json"
         path.write_text(json.dumps(cfg))
-        with pytest.raises(MalformedFileError, match=f"{field} must be finite") as err:
+        # a string is refused by the number rule before any finiteness check
+        if value == "nan":
+            pattern = f"{field}.*must be a number, got 'nan'"
+        else:
+            pattern = f"{field} must be finite"
+        with pytest.raises(MalformedFileError, match=pattern) as err:
             read_scenario(path)
         assert str(path) in str(err.value)
 
@@ -285,6 +358,68 @@ class TestScenarioIo:
         ) == 1
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("mix",), "0.5", "mix must be a number, got '0.5'"),
+            (("mix",), True, "mix must be a number, got True"),
+            (("energy_offset_eV",), None, "energy_offset_eV must be a number, got None"),
+            (("masses_amu", "F"), "19", "F must be a number, got '19'"),
+            (("resonance", "exits", 0, "states", 0, "shape", 0), True, r"shape\[0\] must be"),
+            (("resonance", "entrance", 1, 1), "0.8", r"entrance\[1\]\[1\] must be a number"),
+            (("background", "channels", 0, "states", 1, "slope"), [1.0], r"slope must be \[re, "),
+            (("resonance", "exits", 1, "arrangement"), None, "arrangement must be a string"),
+            (("background", "channels", 0, "arrangement"), 5, "arrangement must be a string"),
+            (("initial_pair", 0, "arrangement"), None, "arrangement must be a string, got None"),
+        ],
+        ids=[
+            "quoted-mix",
+            "bool-mix",
+            "null-offset",
+            "quoted-mass",
+            "bool-shape",
+            "quoted-entrance",
+            "short-pair",
+            "null-exit-label",
+            "int-background-label",
+            "null-initial-label",
+        ],
+    )
+    def test_field_is_taken_only_as_its_json_type(self, tmp_path, capsys, keys, value, message):
+        doc = json.loads(FHD_SCENARIO.read_text())
+        parent = doc
+        for k in keys[:-1]:
+            parent = parent[k]
+        parent[keys[-1]] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError, match=message) as err:
+            read_scenario(path)
+        assert str(err.value).startswith(f"{path}: TypeError: ")
+        self._assert_cli_rejects(path, capsys)
+
+    def test_domain_fault_reads_class_and_message(self, tmp_path, capsys):
+        doc = json.loads(FHD_SCENARIO.read_text())
+        doc["resonance"]["gamma_width_eV"] = -1
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError) as err:
+            read_scenario(path)
+        assert str(err.value) == f"{path}: NonPositiveError: gamma_width must be > 0, got -1.0"
+        self._assert_cli_rejects(path, capsys)
+
+    def test_integers_are_numbers(self, tmp_path):
+        doc = json.loads(FHD_SCENARIO.read_text())
+        doc["mix"] = 1
+        doc["resonance"]["entrance"][0] = [1, 0]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        cfg = read_scenario(path)
+        assert cfg == replace(read_scenario(FHD_SCENARIO), mix=1.0)
+        assert type(cfg.mix) is float
+        write_scenario(cfg, path)
+        assert '"mix": 1.0' in path.read_text()
 
     def test_committed_scenario_synthesizes_valid_tables(self):
         cfg = read_scenario(FHD_SCENARIO)
