@@ -41,7 +41,7 @@ from .xsection import cross_section_matrix, differential_matrix, schwartz_ratio
 
 __all__ = ["main", "build_parser"]
 
-MAX_ORACLE = 4096  # the lattice holds several N x N float64 arrays, ~134 MB each at the cap
+MAX_ORACLE = 4096  # bounds time (N^2 lattice points); row blocks keep memory O(block * N)
 MAX_SCAN_ROWS = 10**6  # a scan row holds ~1.3 KB, so ~1.3 GB at the cap
 
 

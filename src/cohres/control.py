@@ -38,6 +38,7 @@ __all__ = [
 SINGULAR_TOL = 1e-14  # det(B) <= tol * trace(B)^2 marks a singular denominator
 DEGENERATE_TOL = 1e-11  # elementwise |A - kappa*B| below this (relative) is degenerate
 DENOM_FLOOR = 1e-300  # lattice ratio points below this denominator are skipped
+_BLOCK_POINTS = 1 << 15  # lattice points per row block: ~256 KB per float64 array
 
 
 @dataclass(frozen=True)
@@ -254,41 +255,57 @@ def lattice_extrema(
     error grows like eps*tr(den)/den(c) near the denominator's null
     direction, and the ratio extrema are trustworthy only to that extent.
 
+    The lattice is walked in blocks of whole s rows, about
+    ``_BLOCK_POINTS`` points each, so memory is O(block * n_phi) while
+    time is O(n_s * n_phi).  Each block keeps its first extremum, and a
+    later block replaces the running extremum only if strictly lower
+    (higher), so ties still go to the first (s, phi) in row order.
+
     This is an independent check on the closed-form solvers: it never
     solves anything, it just evaluates.
     """
-    if n_s < 2 or n_phi < 2:
-        raise CohresError(f"need n_s, n_phi >= 2, got {n_s}, {n_phi}")
+    for name, n in (("n_s", n_s), ("n_phi", n_phi)):
+        if type(n) is not int or n < 2:  # a bool is not a lattice size
+            raise CohresError(f"{name} must be an integer >= 2, got {n!r}")
+    if den is not None and den.trace == 0.0:
+        raise ZeroDenominatorError("denominator matrix is identically zero")
     s = np.linspace(0.0, 1.0, n_s)
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-    s_col, phi_row = s[:, None], phi[None, :]
-    values = np.clip(quadratic_form(num, s_col, phi_row), 0.0, None)
+    phi_row = phi[None, :]
+    rows = max(1, _BLOCK_POINTS // n_phi)
+    lo = hi = None  # (value, flat lattice index) of the running extrema
     skipped = 0
-    if den is not None:
-        if den.trace == 0.0:
-            raise ZeroDenominatorError("denominator matrix is identically zero")
-        d = np.clip(quadratic_form(den, s_col, phi_row), 0.0, None)
-        ok = d >= DENOM_FLOOR
-        skipped = int(np.size(ok) - np.count_nonzero(ok))
-        if skipped == np.size(ok):
-            raise ZeroDenominatorError("denominator vanished on the whole lattice")
-        values = np.where(ok, values / np.where(ok, d, 1.0), np.nan)
-        i_min = int(np.nanargmin(values))
-        i_max = int(np.nanargmax(values))
-    else:
-        i_min = int(np.argmin(values))
-        i_max = int(np.argmax(values))
+    for i0 in range(0, n_s, rows):
+        s_col = s[i0 : i0 + rows, None]
+        values = np.clip(quadratic_form(num, s_col, phi_row), 0.0, None)
+        if den is None:
+            i_min = int(np.argmin(values))
+            i_max = int(np.argmax(values))
+        else:
+            d = np.clip(quadratic_form(den, s_col, phi_row), 0.0, None)
+            ok = d >= DENOM_FLOOR
+            n_ok = int(np.count_nonzero(ok))
+            skipped += ok.size - n_ok
+            if n_ok == 0:
+                continue  # nanargmin raises on an all-nan block
+            values = np.where(ok, values / np.where(ok, d, 1.0), np.nan)
+            i_min = int(np.nanargmin(values))
+            i_max = int(np.nanargmax(values))
+        if lo is None or values.flat[i_min] < lo[0]:
+            lo = float(values.flat[i_min]), i0 * n_phi + i_min
+        if hi is None or values.flat[i_max] > hi[0]:
+            hi = float(values.flat[i_max]), i0 * n_phi + i_max
+    if lo is None:
+        raise ZeroDenominatorError("denominator vanished on the whole lattice")
 
-    def at(flat: int) -> tuple[float, ControlParams]:
+    def at(flat: int) -> ControlParams:
         i, j = divmod(flat, n_phi)
-        return float(values[i, j]), ControlParams(float(s[i]), float(phi[j]))
+        return ControlParams(float(s[i]), float(phi[j]))
 
-    lo, p_lo = at(i_min)
-    hi, p_hi = at(i_max)
     return ControlRange(
-        min_value=lo,
-        max_value=hi,
-        params_at_min=p_lo,
-        params_at_max=p_hi,
+        min_value=lo[0],
+        max_value=hi[0],
+        params_at_min=at(lo[1]),
+        params_at_max=at(hi[1]),
         skipped_points=skipped,
     )

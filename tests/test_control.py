@@ -1,11 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohres import (
+    CohresError,
     ControlParams,
     XsecMatrix,
     ZeroDenominatorError,
@@ -17,7 +19,10 @@ from cohres import (
     ratio_extrema,
     schwartz_ratio,
 )
-from cohres.control import _quotient
+from cohres import control
+from cohres.constants import TWO_PI
+from cohres.control import DENOM_FLOOR, _quotient
+from cohres.xsection import quadratic_form
 from conftest import random_psd_matrix, ridged_psd_matrix
 
 
@@ -272,6 +277,117 @@ class TestLatticeExtrema:
     def test_tiny_lattice_rejected(self):
         with pytest.raises(ValueError):
             lattice_extrema(sched(1.0, 1.0, 0.0), None, 1, 10)
+
+    @pytest.mark.parametrize(
+        "n_s, n_phi, message",
+        [(2.5, 10, "n_s .* got 2.5"), (10, "7", "n_phi .* got '7'"), (True, 10, "n_s .* got True")],
+        ids=["float", "str", "bool"],
+    )
+    def test_non_integer_size_rejected(self, n_s, n_phi, message):
+        with pytest.raises(CohresError, match=message):
+            lattice_extrema(sched(1.0, 1.0, 0.0), None, n_s, n_phi)
+
+    def test_zero_denominator_rejected_before_evaluation(self, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("the lattice was evaluated")
+
+        monkeypatch.setattr(control, "quadratic_form", no_evaluation)
+        with pytest.raises(ZeroDenominatorError, match="identically zero"):
+            lattice_extrema(sched(1.0, 1.0, 0.0), sched(0.0, 0.0, 0.0), 11, 7)
+
+    def test_memory_is_row_blocks_not_whole_lattice(self):
+        # one 2049 x 2049 float64 array is 33.6 MB; a block of rows is ~0.25 MB
+        num, den = sched(1.3, 0.4, 0.2 + 0.5j, "A"), sched(1.0, 2.0, 0.3 - 0.4j, "B")
+        tracemalloc.start()
+        try:
+            lattice_extrema(num, den, 2049, 2049)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+def _whole_lattice(num, den, n_s, n_phi):
+    """The lattice as whole n_s x n_phi arrays: the reference for the row blocks."""
+    s = np.linspace(0.0, 1.0, n_s)
+    phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
+    values = np.clip(quadratic_form(num, s[:, None], phi[None, :]), 0.0, None)
+    skipped = 0
+    if den is None:
+        i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
+    else:
+        d = np.clip(quadratic_form(den, s[:, None], phi[None, :]), 0.0, None)
+        ok = d >= DENOM_FLOOR
+        skipped = int(ok.size - np.count_nonzero(ok))
+        if skipped == ok.size:
+            raise ZeroDenominatorError("denominator vanished on the whole lattice")
+        values = np.where(ok, values / np.where(ok, d, 1.0), np.nan)
+        i_min, i_max = int(np.nanargmin(values)), int(np.nanargmax(values))
+
+    def at(flat):
+        i, j = divmod(flat, n_phi)
+        return float(values[i, j]), ControlParams(float(s[i]), float(phi[j]))
+
+    (lo, p_lo), (hi, p_hi) = at(i_min), at(i_max)
+    return lo, hi, p_lo, p_hi, skipped
+
+
+def _parity_cases():
+    rng = np.random.default_rng(20)
+    cases = {f"pin-{k}": (num, den, 121, 97) for k, (num, den, _) in EVALUATOR_PIN_CASES.items()}
+    for k in range(20):
+        cases[f"random-single-{k}"] = (random_psd_matrix(rng), None, 61, 53)
+        cases[f"random-ratio-{k}"] = (
+            random_psd_matrix(rng, "A"),
+            random_psd_matrix(rng, "B"),
+            61,
+            53,
+        )
+    cases["tie-diagonal"] = (sched(1.0, 3.0, 0.0), None, 51, 64)
+    cases["tie-diagonal-ratio"] = (sched(1.0, 3.0, 0.0, "A"), sched(3.0, 1.0, 0.0, "B"), 51, 64)
+    cases["skipped-first-row"] = (sched(1.0, 1.0, 0.0, "A"), sched(0.0, 1.0, 0.0, "B"), 11, 7)
+    # test_skipped_points_counted's lattice: a 1-row block at s = 1 is all skipped
+    cases["skipped-last-row"] = (sched(1.0, 1.0, 0.0, "A"), sched(1.0, 0.0, 0.0, "B"), 11, 7)
+    # rank one: the denominator vanishes at (s, phi) = (0.5, pi), lattice point (5, 4)
+    cases["skipped-inner-point"] = (sched(1.0, 2.0, 0.5j, "A"), sched(1.0, 1.0, 1.0, "B"), 11, 8)
+    return cases
+
+
+PARITY_CASES = _parity_cases()
+
+
+class TestRowBlockParity:
+    """Row blocks reproduce the whole-lattice evaluation bit for bit."""
+
+    @pytest.fixture(params=[1, 7, "n_s"], ids=lambda r: f"rows-{r}")
+    def block_rows(self, request, monkeypatch):
+        def use(n_s, n_phi):
+            rows = n_s if request.param == "n_s" else request.param
+            monkeypatch.setattr(control, "_BLOCK_POINTS", rows * n_phi)
+
+        return use
+
+    @pytest.mark.parametrize("num, den, n_s, n_phi", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+    def test_matches_whole_lattice(self, block_rows, num, den, n_s, n_phi):
+        block_rows(n_s, n_phi)
+        lat = lattice_extrema(num, den, n_s, n_phi)
+        got = (lat.min_value, lat.max_value, lat.params_at_min, lat.params_at_max)
+        assert got + (lat.skipped_points,) == _whole_lattice(num, den, n_s, n_phi)
+
+    @pytest.mark.parametrize("den", [None, sched(1.0, 1.0, 0.0, "B")])
+    def test_flat_objective_resolves_to_first_point(self, block_rows, den):
+        # every point ties, across blocks too: the first (s, phi) wins both
+        block_rows(121, 97)
+        lat = lattice_extrema(sched(2.0, 2.0, 0.0, "A"), den, 121, 97)
+        assert lat.params_at_min == lat.params_at_max == ControlParams(0.0, 0.0)
+
+    def test_vanishing_denominator_raises(self, block_rows):
+        block_rows(11, 7)
+        num, den = sched(1.0, 1.0, 0.0, "A"), sched(1e-301, 1e-301, 0.0, "B")
+        with pytest.raises(ZeroDenominatorError, match="whole lattice"):
+            _whole_lattice(num, den, 11, 7)
+        with pytest.raises(ZeroDenominatorError, match="whole lattice"):
+            lattice_extrema(num, den, 11, 7)
 
 
 class TestControlRangeSeparation:
