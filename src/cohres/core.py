@@ -20,6 +20,9 @@ mixed-m pair among them, so every table that exists is valid.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +58,14 @@ def _frozen(a, dtype) -> np.ndarray:
     return a
 
 
+def _index(x, what: str) -> int:
+    """``x`` as a plain int; a bool or a non-integer is refused, as the file readers refuse it."""
+    if not isinstance(x, bool):
+        with suppress(TypeError):
+            return operator.index(x)
+    raise CohresError(f"{what} must be an integer, got {x!r}")
+
+
 def _pair_violations(pair: tuple) -> list[str]:
     """The initial-pair rule of tables and scenarios: one message per violation."""
     if len(pair) != 2:
@@ -75,7 +86,10 @@ def _pair_violations(pair: tuple) -> list[str]:
 
 @dataclass(frozen=True, order=True)
 class ChannelState:
-    """One asymptotic scattering state: arrangement label plus (v, j, m)."""
+    """One asymptotic scattering state: arrangement label plus (v, j, m).
+
+    ``v``, ``j`` and ``m`` are stored as plain ints (see ``_index``).
+    """
 
     arrangement: str
     v: int
@@ -83,6 +97,8 @@ class ChannelState:
     m: int = 0
 
     def __post_init__(self):
+        for name in ("v", "j", "m"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if not self.arrangement:
             raise CohresError("arrangement label must be nonempty")
         if self.v < 0 or self.j < 0:
@@ -196,7 +212,8 @@ class AmplitudeTable:
     The constructor checks every table invariant and raises
     TableValidationError with one message per violation, in the order:
     initial pair, energy, grid, then each channel block.  A block whose
-    amplitude shape is wrong gets no finer checks.
+    amplitude shape is wrong gets no finer checks.  ``energy`` is stored as
+    a float; a bool or a value that is not a real number is a violation.
     """
 
     energy: float
@@ -205,6 +222,9 @@ class AmplitudeTable:
     channels: tuple[ChannelBlock, ...]
 
     def __post_init__(self):
+        e = self.energy  # float first: the numbers.Real check costs ~0.3 us per scan table
+        if isinstance(e, float) or (isinstance(e, numbers.Real) and not isinstance(e, bool)):
+            object.__setattr__(self, "energy", float(e))
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
         object.__setattr__(self, "channels", tuple(self.channels))
         violations = self._check()
@@ -213,7 +233,9 @@ class AmplitudeTable:
 
     def _check(self) -> list[str]:
         out = _pair_violations(self.initial_pair)
-        if not math.isfinite(self.energy):
+        if type(self.energy) is not float:
+            out.append(f"energy: must be a real number, got {self.energy!r}")
+        elif not math.isfinite(self.energy):
             out.append("energy: must be finite")
         out.extend(self.grid.violations())
 

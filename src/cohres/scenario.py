@@ -134,14 +134,14 @@ def _scenario_from_dict(doc: dict) -> ScenarioConfig:
             arrangement=_typed(ch["arrangement"], str, "arrangement"),
             states=tuple(
                 ExitState(
-                    state=_state_in(s),
+                    state=_state_in(s, f"resonance.exits[{c}].states[{n}]"),
                     coupling=_cx(s["coupling"], "coupling"),
                     shape=_numbers(s["shape"], "shape"),
                 )
-                for s in ch["states"]
+                for n, s in enumerate(ch["states"])
             ),
         )
-        for ch in res_doc["exits"]
+        for c, ch in enumerate(res_doc["exits"])
     )
     resonance = ResonanceSpec(
         epsilon_r=_typed(res_doc["epsilon_r_eV"], float, "epsilon_r_eV"),
@@ -154,7 +154,7 @@ def _scenario_from_dict(doc: dict) -> ScenarioConfig:
             arrangement=_typed(ch["arrangement"], str, "arrangement"),
             states=tuple(
                 BackgroundState(
-                    state=_state_in(s),
+                    state=_state_in(s, f"background.channels[{c}].states[{n}]"),
                     amplitude=_cx(s["amplitude"], "amplitude"),
                     slope=_cx(s["slope"], "slope"),
                     shape=_numbers(s["shape"], "shape"),
@@ -163,10 +163,10 @@ def _scenario_from_dict(doc: dict) -> ScenarioConfig:
                         for i, w in enumerate(s.get("column_weights", [[1.0, 0.0], [1.0, 0.0]]))
                     ),
                 )
-                for s in ch["states"]
+                for n, s in enumerate(ch["states"])
             ),
         )
-        for ch in doc["background"]["channels"]
+        for c, ch in enumerate(doc["background"]["channels"])
     )
     reference_energy = doc["background"]["reference_energy_eV"]
     background = BackgroundSpec(_typed(reference_energy, float, "reference_energy_eV"), channels)
@@ -175,7 +175,9 @@ def _scenario_from_dict(doc: dict) -> ScenarioConfig:
         background=background,
         mix=_typed(doc["mix"], float, "mix"),
         grid_order=_typed(doc["grid_order"], int, "grid_order"),
-        initial_pair=tuple(map(_state_in, doc["initial_pair"])),
+        initial_pair=tuple(
+            _state_in(s, f"initial_pair[{i}]") for i, s in enumerate(doc["initial_pair"])
+        ),
         masses_amu={k: _typed(m, float, k) for k, m in doc.get("masses_amu", {}).items()},
         energy_offset=_typed(doc.get("energy_offset_eV", 0.0), float, "energy_offset_eV"),
     )

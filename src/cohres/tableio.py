@@ -8,7 +8,9 @@ That flat array is the C-order memory layout of the complex
 decoding are views of one another.  Floats are serialized with repr,
 which round-trips doubles exactly, so read(write(t)) is bit-identical,
 signed zeros included, and re-serialization reproduces the file byte for
-byte.
+byte.  The text is exactly ``json.dumps(doc, indent=2) + "\n"``, labels
+escaped by json; ``table_to_json`` writes that fixed layout itself, since
+json's indenting encoder is pure Python.
 
 Externally computed amplitudes enter the package through this format:
 the producer resolves its own scattering output onto an angle grid and
@@ -17,6 +19,7 @@ producer's side of the contract.
 
 Both readers' field rules (``_typed``, ``_numbers``), fault rule (``_reading``)
 and codecs for state records and [re, im] pairs live here, as does ``_fmt``.
+A fault in a state record names its place in the document (``_state_in``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
-from .errors import MalformedFileError, TableValidationError
+from .errors import CohresError, MalformedFileError, TableValidationError
 
 __all__ = ["write_table", "read_table", "table_to_json", "table_from_json"]
 
@@ -72,9 +75,18 @@ def _state_out(s: ChannelState) -> dict:
     return {"arrangement": s.arrangement, "v": s.v, "j": s.j, "m": s.m}
 
 
-def _state_in(d: dict) -> ChannelState:
-    arrangement = _typed(d["arrangement"], str, "arrangement")
-    return ChannelState(arrangement, *(_typed(d[k], int, k) for k in "vjm"))
+def _state_in(d, what: str) -> ChannelState:
+    """The state record ``d`` at ``what`` in its document; each fault in it names ``what``."""
+    if type(d) is not dict:
+        raise TypeError(f"{what} must be an object, got {d!r}")
+    for k in ("arrangement", "v", "j", "m"):
+        if k not in d:
+            raise KeyError(f"{what}.{k}")
+    arrangement = _typed(d["arrangement"], str, f"{what}.arrangement")
+    try:
+        return ChannelState(arrangement, *(_typed(d[k], int, f"{what}.{k}") for k in "vjm"))
+    except CohresError as exc:  # the state's own rules: a label, v, j >= 0, |m| <= j
+        raise CohresError(f"{what}: {exc}") from None
 
 
 @contextmanager
@@ -108,34 +120,67 @@ def _load_object(text: str, where: str) -> dict:
     return doc
 
 
+def _block(items, depth: int, brackets: str = "[]") -> str:
+    """Encoded ``items`` as json.dumps(..., indent=2) lays out a container ``depth`` levels
+    deep: one item per line, one level deeper; an empty container as ``[]`` or ``{}``."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(items)
+    return f"{brackets[0]}{pad}{body}\n{'  ' * depth}{brackets[1]}" if body else brackets
+
+
+def _object(fields: dict, depth: int) -> str:
+    """A JSON object of already encoded values, laid out as ``_block`` lays out arrays."""
+    return _block((f'"{k}": {v}' for k, v in fields.items()), depth, "{}")
+
+
+def _floats(a: np.ndarray, depth: int) -> str:
+    # a valid table's floats are finite, and for those json writes float.__repr__
+    return _block(map(repr, a.tolist()), depth)
+
+
+def _states(states, depth: int) -> str:
+    # v, j and m are ints, which format as json writes them; the label is encoded by json
+    records = ({**_state_out(s), "arrangement": json.dumps(s.arrangement)} for s in states)
+    return _block((_object(r, depth + 1) for r in records), depth)
+
+
 def table_to_json(table: AmplitudeTable) -> str:
-    doc = {
-        "energy_eV": table.energy,
-        "initial": [_state_out(s) for s in table.initial_pair],
-        "angle_grid": {
-            "nodes_rad": table.grid.nodes.tolist(),
-            "weights_sr": table.grid.weights.tolist(),
-        },
-        "channels": [
+    """The table's document, byte for byte as ``json.dumps(doc, indent=2) + "\n"`` writes it.
+
+    The layout is written directly: with ``indent`` the standard library
+    encodes in pure Python, one float per line, several times slower.
+    """
+    channels = (
+        _object(
             {
-                "arrangement": b.arrangement,
-                "states": [_state_out(s) for s in b.states],
-                "amplitudes": b.amplitudes.view(float).ravel().tolist(),
-            }
-            for b in table.channels
-        ],
+                "arrangement": json.dumps(b.arrangement),
+                "states": _states(b.states, 3),
+                "amplitudes": _floats(b.amplitudes.view(float).ravel(), 3),
+            },
+            2,
+        )
+        for b in table.channels
+    )
+    grid = {"nodes_rad": _floats(table.grid.nodes, 2), "weights_sr": _floats(table.grid.weights, 2)}
+    doc = {
+        "energy_eV": _fmt(table.energy),
+        "initial": _states(table.initial_pair, 1),
+        "angle_grid": _object(grid, 1),
+        "channels": _block(channels, 1),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _object(doc, 0) + "\n"
 
 
 def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
     doc = _load_object(text, where)
     with _reading(where):
         grid = AngleGrid(*(_numbers(doc["angle_grid"][k], k) for k in ("nodes_rad", "weights_sr")))
-        pair = tuple(map(_state_in, doc["initial"]))
+        pair = tuple(_state_in(d, f"initial[{i}]") for i, d in enumerate(doc["initial"]))
         blocks = []
         for idx, ch in enumerate(doc["channels"]):
-            states = tuple(map(_state_in, ch["states"]))
+            states = tuple(
+                _state_in(d, f"channels[{idx}].states[{n}]") for n, d in enumerate(ch["states"])
+            )
             flat = _numbers(ch["amplitudes"], f"channels[{idx}].amplitudes")
             if len(flat) != (expected := len(states) * len(grid) * 4):
                 raise ValueError(

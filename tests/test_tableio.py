@@ -4,11 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohres import (
+    AmplitudeTable,
+    ChannelBlock,
     ChannelState,
+    CohresError,
     MalformedFileError,
     TableValidationError,
+    gauss_legendre_grid,
     read_scenario,
     read_table,
     write_scenario,
@@ -35,6 +40,94 @@ def tables_equal(a, b) -> bool:
         if not np.array_equal(ba.amplitudes, bb.amplitudes):
             return False
     return True
+
+
+def json_layout(t) -> str:
+    """The reference layout: the table's document through ``json.dumps(doc, indent=2)``."""
+    doc = {
+        "energy_eV": t.energy,
+        "initial": [_state_out(s) for s in t.initial_pair],
+        "angle_grid": {
+            "nodes_rad": t.grid.nodes.tolist(),
+            "weights_sr": t.grid.weights.tolist(),
+        },
+        "channels": [
+            {
+                "arrangement": b.arrangement,
+                "states": [_state_out(s) for s in b.states],
+                "amplitudes": b.amplitudes.view(float).ravel().tolist(),
+            }
+            for b in t.channels
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# labels that json must escape: quotes, backslashes, control and non-ASCII characters
+LABELS = st.one_of(
+    st.text(st.sampled_from('"\\\x00\x1f\n\t/ab+é→😀'), min_size=1, max_size=6),
+    st.text(min_size=1, max_size=6),
+)
+EDGE_FLOATS = [-0.0, 5e-324, 9.999999999999999e-05, 1e-05, 1e16, 2.0**53, 1.7976931348623157e308]
+EDGE_FLOATS += [-x for x in EDGE_FLOATS]
+
+
+@st.composite
+def tables(draw):
+    """Grid orders 1-17, 0-3 channels of 0-5 states, amplitudes over 600 decades."""
+    order = draw(st.integers(1, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for label in draw(st.lists(LABELS, max_size=3, unique=True)):
+        states = []
+        for _ in range(draw(st.integers(0, 5))):
+            v, j = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+            states.append(ChannelState(label, v, j, draw(st.integers(-j, j))))
+        shape = (len(states), order, 2, 2)
+        amps = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+        blocks.append(ChannelBlock(label, states, amps.view(complex)[..., 0]))
+    label, m = draw(LABELS), draw(st.integers(-1, 1))
+    pair = (ChannelState(label, 0, 1, m), ChannelState(label, 1, 1, m))
+    energy = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return AmplitudeTable(energy, pair, gauss_legendre_grid(order), blocks)
+
+
+class TestTableLayout:
+    @given(tables())
+    @settings(max_examples=150, deadline=None)
+    def test_random_tables_are_laid_out_as_json_lays_them_out(self, t):
+        text = table_to_json(t)
+        assert text == json_layout(t)
+        assert table_to_json(table_from_json(text)) == text
+
+    @pytest.mark.parametrize("energy", EDGE_FLOATS)
+    def test_edge_floats_are_laid_out_as_json_lays_them_out(self, rng, energy):
+        t = random_table(rng, n_states=2, order=4)
+        amps = t.channels[0].amplitudes.copy()
+        amps.view(float).ravel()[: len(EDGE_FLOATS)] = EDGE_FLOATS
+        block = replace(t.channels[0], amplitudes=amps)
+        t = replace(t, energy=energy, channels=(block, t.channels[1]))
+        text = table_to_json(t)
+        assert text == json_layout(t)
+        assert f'"energy_eV": {energy!r},' in text
+        for x in EDGE_FLOATS:
+            assert f"\n        {x!r}," in text
+
+    def test_empty_lists_are_laid_out_as_json_lays_them_out(self, rng):
+        t = random_table(rng, n_states=1, order=3)
+        empty = ChannelBlock("D+HF", (), np.zeros((0, 3, 2)))
+        for channels in ((), (empty, t.channels[1])):
+            text = table_to_json(replace(t, channels=channels))
+            assert text == json_layout(replace(t, channels=channels))
+            assert ('"channels": []' in text) == (not channels)
+            assert ('"states": [],\n      "amplitudes": []' in text) == bool(channels)
+
+    def test_numpy_energy_and_synthesized_table(self, rng):
+        t = replace(random_table(rng, n_states=2, order=5), energy=np.float64(0.255))
+        assert type(t.energy) is float
+        fhd = read_scenario(FHD_SCENARIO).table_at(0.2550)
+        for table in (t, fhd):
+            assert table_to_json(table) == json_layout(table)
 
 
 class TestTableRoundTrip:
@@ -191,6 +284,57 @@ class TestTableErrors:
         assert back.energy == 1.0 and type(back.energy) is float
         assert back.channels[0].amplitudes[0, 0].tolist() == [1j, -2 + 0j]
         assert tables_equal(table_from_json(table_to_json(back)), back)
+
+    def test_scalars_are_fixed_when_a_table_is_built(self, rng, tmp_path):
+        s = ChannelState("D+HF", np.int64(1), np.int64(2), np.int64(-1))
+        assert [type(x) for x in (s.v, s.j, s.m)] == [int, int, int]
+        for bad in (True, np.True_, 1.0, np.float64(1.0), "1", None):
+            with pytest.raises(CohresError) as err:
+                ChannelState("D+HF", bad, 2, 0)
+            assert str(err.value) == f"v must be an integer, got {bad!r}"
+        t = random_table(rng, n_states=1, order=4)
+        block = replace(t.channels[0], states=(s,))
+        t = replace(t, energy=1, channels=(block, t.channels[1]))
+        assert type(t.energy) is float
+        path = tmp_path / "t.json"
+        write_table(t, path)
+        assert '"energy_eV": 1.0,' in path.read_text()
+        assert table_to_json(read_table(path)) == path.read_text()
+        for bad in (True, "0.5", None):
+            with pytest.raises(TableValidationError) as err:
+                replace(t, energy=bad)
+            assert err.value.violations == [f"energy: must be a real number, got {bad!r}"]
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("channels", 0, "states", 1, "v"), None, "KeyError: 'channels[0].states[1].v'"),
+            (("initial", 1, "j"), 1.5, "TypeError: initial[1].j must be an integer, got 1.5"),
+            (("channels", 1, "states", 0), [0], "TypeError: channels[1].states[0] must be an "
+                                                "object, got [0]"),
+            (("channels", 1, "states", 1, "m"), 7, "CohresError: channels[1].states[1]: "
+                                                   "|m| <= j required, got j=1 m=7"),
+        ],
+        ids=["missing-v", "float-j", "list-record", "m-above-j"],
+    )
+    def test_state_fault_names_its_place(self, rng, tmp_path, capsys, keys, value, message):
+        from cohres.cli import main
+
+        doc = json.loads(table_to_json(random_table(rng, n_states=2, order=4)))
+        parent = doc
+        for k in keys[:-1]:
+            parent = parent[k]
+        if value is None:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError) as err:
+            read_table(path)
+        assert str(err.value) == f"{path}: {message}"
+        assert main(["validate", "--table", str(path)]) == 1
+        assert capsys.readouterr().err == f"cohres: error: {path}: {message}\n"
 
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
@@ -397,6 +541,35 @@ class TestScenarioIo:
         with pytest.raises(MalformedFileError, match=message) as err:
             read_scenario(path)
         assert str(err.value).startswith(f"{path}: TypeError: ")
+        self._assert_cli_rejects(path, capsys)
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("resonance", "exits", 0, "states", 1, "arrangement"), None,
+             "KeyError: 'resonance.exits[0].states[1].arrangement'"),
+            (("background", "channels", 1, "states", 0, "m"), 5,
+             "CohresError: background.channels[1].states[0]: |m| <= j required, got j=0 m=5"),
+            (("initial_pair", 0, "v"), -1,
+             "CohresError: initial_pair[0]: v and j must be >= 0, got v=-1 j=0"),
+            (("initial_pair", 1, "m"), True, "TypeError: initial_pair[1].m must be an integer"),
+        ],
+        ids=["missing-label", "m-above-j", "negative-v", "bool-m"],
+    )
+    def test_state_fault_names_its_place(self, tmp_path, capsys, keys, value, message):
+        doc = json.loads(FHD_SCENARIO.read_text())
+        parent = doc
+        for k in keys[:-1]:
+            parent = parent[k]
+        if value is None:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError) as err:
+            read_scenario(path)
+        assert str(err.value).startswith(f"{path}: {message}")
         self._assert_cli_rejects(path, capsys)
 
     def test_domain_fault_reads_class_and_message(self, tmp_path, capsys):
