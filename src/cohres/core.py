@@ -5,7 +5,10 @@ transition amplitudes from the two superposed initial states into every
 final state of every product arrangement, resolved on a polar-angle
 quadrature grid.  All types are immutable after construction and safe to
 share between threads; every operation in this package is a pure function
-of its inputs.
+of its inputs.  A :class:`ChannelBlock` computes its per-node Grams once,
+on the first ``differential_matrix`` of it, and keeps them read-only;
+from Python 3.12 ``cached_property`` takes no lock, so concurrent first
+calls can at worst compute the same values twice.
 
 Tables are restricted to azimuthally symmetric scattering: the two initial
 states must carry the same helicity label m, otherwise the products would
@@ -24,6 +27,7 @@ import numbers
 import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -66,6 +70,13 @@ def _index(x, what: str) -> int:
     raise CohresError(f"{what} must be an integer, got {x!r}")
 
 
+def _label(x, what: str) -> str:
+    """``x`` as a plain non-empty str; anything else is refused, as the file readers refuse it."""
+    if isinstance(x, str) and x:
+        return str(x)
+    raise CohresError(f"{what} must be a non-empty string, got {x!r}")
+
+
 def _pair_violations(pair: tuple) -> list[str]:
     """The initial-pair rule of tables and scenarios: one message per violation."""
     if len(pair) != 2:
@@ -88,7 +99,8 @@ def _pair_violations(pair: tuple) -> list[str]:
 class ChannelState:
     """One asymptotic scattering state: arrangement label plus (v, j, m).
 
-    ``v``, ``j`` and ``m`` are stored as plain ints (see ``_index``).
+    ``arrangement`` is stored as a plain non-empty str (see ``_label``), and
+    ``v``, ``j`` and ``m`` as plain ints (see ``_index``).
     """
 
     arrangement: str
@@ -97,10 +109,9 @@ class ChannelState:
     m: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "arrangement", _label(self.arrangement, "arrangement"))
         for name in ("v", "j", "m"):
             object.__setattr__(self, name, _index(getattr(self, name), name))
-        if not self.arrangement:
-            raise CohresError("arrangement label must be nonempty")
         if self.v < 0 or self.j < 0:
             raise CohresError(f"v and j must be >= 0, got v={self.v} j={self.j}")
         if abs(self.m) > self.j:
@@ -194,6 +205,7 @@ class ChannelBlock:
     at angle node k from initial state i (column 0 or 1), in A*sr^(-1/2).
     They are stored as a read-only C-contiguous copy, so a block's Grams do
     not depend on the memory layout of the caller's array, which stays theirs.
+    ``arrangement`` is a plain non-empty str, as in ``ChannelState``.
     """
 
     arrangement: str
@@ -201,8 +213,23 @@ class ChannelBlock:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "arrangement", _label(self.arrangement, "arrangement"))
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, complex))
+
+    @cached_property
+    def _node_grams(self) -> tuple[tuple[float, float, complex], ...]:
+        """(sigma11, sigma22, sigma12) at each grid node, unweighted, as plain Python scalars.
+
+        One pass over the block, on first use; a frozen instance keeps the
+        tuple read-only.  Each entry is a sum over states along the last axis
+        of a C-contiguous array, which numpy sums in the same pairwise order
+        as ``.sum()`` of one node's slice, so the entries equal that bit for bit.
+        """
+        a = self.amplitudes
+        diag = np.ascontiguousarray((np.abs(a) ** 2).transpose(1, 2, 0)).sum(axis=-1)
+        cross = np.ascontiguousarray((np.conj(a[:, :, 0]) * a[:, :, 1]).T).sum(axis=-1)
+        return tuple(zip(diag[:, 0].tolist(), diag[:, 1].tolist(), cross.tolist()))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .constants import HBAR_EV_FS, TWO_PI
-from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
+from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState, _label
 from .errors import CohresError, NonPositiveError, SpecMismatchError, UnknownChannelError
 
 __all__ = [
@@ -80,6 +80,7 @@ class ExitChannel:
     states: tuple[ExitState, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "arrangement", _label(self.arrangement, "arrangement"))
         object.__setattr__(self, "states", tuple(self.states))
 
 
@@ -164,6 +165,7 @@ class BackgroundChannel:
     states: tuple[BackgroundState, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "arrangement", _label(self.arrangement, "arrangement"))
         object.__setattr__(self, "states", tuple(self.states))
 
 

@@ -25,8 +25,8 @@ from .resonance import (
     _check_specs,
     synthesize_table,
 )
-from .tableio import _cx, _cx_out, _load_object, _read_text, _reading, _state_in, _state_out
-from .tableio import _numbers, _typed
+from .tableio import _at, _cx, _cx_out, _load_object, _read_text, _reading, _state_in, _state_out
+from .tableio import _numbers, _record, _typed
 
 __all__ = ["ScenarioConfig", "read_scenario", "write_scenario"]
 
@@ -127,46 +127,51 @@ def _scenario_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
+def _exit_state(s, at: str) -> ExitState:
+    state = _state_in(s, at)
+    _record(s, at, ("coupling", "shape"))
+    coupling = _cx(s["coupling"], f"{at}.coupling")
+    shape = _numbers(s["shape"], f"{at}.shape")
+    with _at(at):
+        return ExitState(state, coupling, shape)
+
+
+def _background_state(s, at: str) -> BackgroundState:
+    state = _state_in(s, at)
+    _record(s, at, ("amplitude", "slope", "shape"))
+    amplitude = _cx(s["amplitude"], f"{at}.amplitude")
+    slope = _cx(s["slope"], f"{at}.slope")
+    shape = _numbers(s["shape"], f"{at}.shape")
+    weights = tuple(
+        _cx(w, f"{at}.column_weights[{i}]")
+        for i, w in enumerate(s.get("column_weights", [[1.0, 0.0], [1.0, 0.0]]))
+    )
+    with _at(at):
+        return BackgroundState(state, amplitude, slope, shape, weights)
+
+
+def _channels(docs, at: str, cls, state) -> tuple:
+    """The channel records ``docs`` at ``at``; each fault names its record's place."""
+    out = []
+    for c, ch in enumerate(docs):
+        _record(ch, f"{at}[{c}]", ("arrangement", "states"))
+        label = _typed(ch["arrangement"], str, f"{at}[{c}].arrangement")
+        states = tuple(state(s, f"{at}[{c}].states[{n}]") for n, s in enumerate(ch["states"]))
+        with _at(f"{at}[{c}]"):
+            out.append(cls(label, states))
+    return tuple(out)
+
+
 def _scenario_from_dict(doc: dict) -> ScenarioConfig:
     res_doc = doc["resonance"]
-    exits = tuple(
-        ExitChannel(
-            arrangement=_typed(ch["arrangement"], str, "arrangement"),
-            states=tuple(
-                ExitState(
-                    state=_state_in(s, f"resonance.exits[{c}].states[{n}]"),
-                    coupling=_cx(s["coupling"], "coupling"),
-                    shape=_numbers(s["shape"], "shape"),
-                )
-                for n, s in enumerate(ch["states"])
-            ),
-        )
-        for c, ch in enumerate(res_doc["exits"])
-    )
     resonance = ResonanceSpec(
         epsilon_r=_typed(res_doc["epsilon_r_eV"], float, "epsilon_r_eV"),
         gamma_width=_typed(res_doc["gamma_width_eV"], float, "gamma_width_eV"),
         entrance=tuple(_cx(g, f"entrance[{i}]") for i, g in enumerate(res_doc["entrance"])),
-        exits=exits,
+        exits=_channels(res_doc["exits"], "resonance.exits", ExitChannel, _exit_state),
     )
-    channels = tuple(
-        BackgroundChannel(
-            arrangement=_typed(ch["arrangement"], str, "arrangement"),
-            states=tuple(
-                BackgroundState(
-                    state=_state_in(s, f"background.channels[{c}].states[{n}]"),
-                    amplitude=_cx(s["amplitude"], "amplitude"),
-                    slope=_cx(s["slope"], "slope"),
-                    shape=_numbers(s["shape"], "shape"),
-                    column_weights=tuple(
-                        _cx(w, f"column_weights[{i}]")
-                        for i, w in enumerate(s.get("column_weights", [[1.0, 0.0], [1.0, 0.0]]))
-                    ),
-                )
-                for n, s in enumerate(ch["states"])
-            ),
-        )
-        for c, ch in enumerate(doc["background"]["channels"])
+    channels = _channels(
+        doc["background"]["channels"], "background.channels", BackgroundChannel, _background_state
     )
     reference_energy = doc["background"]["reference_energy_eV"]
     background = BackgroundSpec(_typed(reference_energy, float, "reference_energy_eV"), channels)

@@ -17,9 +17,10 @@ the producer resolves its own scattering output onto an angle grid and
 writes this document; partial-wave resummation conventions stay on the
 producer's side of the contract.
 
-Both readers' field rules (``_typed``, ``_numbers``), fault rule (``_reading``)
-and codecs for state records and [re, im] pairs live here, as does ``_fmt``.
-A fault in a state record names its place in the document (``_state_in``).
+Both readers' field rules (``_typed``, ``_numbers``), fault rules (``_reading``,
+``_at``) and codecs for state records and [re, im] pairs live here, as does
+``_fmt``.  A fault in a record names its place in the document, as in
+``channels[1].states[0].v``.
 """
 
 from __future__ import annotations
@@ -75,18 +76,30 @@ def _state_out(s: ChannelState) -> dict:
     return {"arrangement": s.arrangement, "v": s.v, "j": s.j, "m": s.m}
 
 
-def _state_in(d, what: str) -> ChannelState:
-    """The state record ``d`` at ``what`` in its document; each fault in it names ``what``."""
+@contextmanager
+def _at(what: str):
+    """Report a record's own rule, broken as it is built, as ``<what>: <message>``."""
+    try:
+        yield
+    except CohresError as exc:
+        raise CohresError(f"{what}: {exc}") from None
+
+
+def _record(d, what: str, keys) -> None:
+    """Check ``d`` is a JSON object holding ``keys``; a fault names ``what`` or ``what.<key>``."""
     if type(d) is not dict:
         raise TypeError(f"{what} must be an object, got {d!r}")
-    for k in ("arrangement", "v", "j", "m"):
+    for k in keys:
         if k not in d:
             raise KeyError(f"{what}.{k}")
+
+
+def _state_in(d, what: str) -> ChannelState:
+    """The state record ``d`` at ``what`` in its document; each fault in it names ``what``."""
+    _record(d, what, ("arrangement", "v", "j", "m"))
     arrangement = _typed(d["arrangement"], str, f"{what}.arrangement")
-    try:
+    with _at(what):  # a non-empty label, v, j >= 0, |m| <= j
         return ChannelState(arrangement, *(_typed(d[k], int, f"{what}.{k}") for k in "vjm"))
-    except CohresError as exc:  # the state's own rules: a label, v, j >= 0, |m| <= j
-        raise CohresError(f"{what}: {exc}") from None
 
 
 @contextmanager
@@ -178,6 +191,7 @@ def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
         pair = tuple(_state_in(d, f"initial[{i}]") for i, d in enumerate(doc["initial"]))
         blocks = []
         for idx, ch in enumerate(doc["channels"]):
+            _record(ch, f"channels[{idx}]", ("arrangement", "states", "amplitudes"))
             states = tuple(
                 _state_in(d, f"channels[{idx}].states[{n}]") for n, d in enumerate(ch["states"])
             )
@@ -188,7 +202,9 @@ def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
                     f"expected {expected} (= states * nodes * 4)"
                 )
             amps = np.asarray(flat, dtype=float).reshape(len(states), len(grid), 4).view(complex)
-            blocks.append(ChannelBlock(_typed(ch["arrangement"], str, "arrangement"), states, amps))
+            label = _typed(ch["arrangement"], str, f"channels[{idx}].arrangement")
+            with _at(f"channels[{idx}]"):
+                blocks.append(ChannelBlock(label, states, amps))
         energy = _typed(doc["energy_eV"], float, "energy_eV")
     try:
         return AmplitudeTable(energy=energy, initial_pair=pair, grid=grid, channels=tuple(blocks))

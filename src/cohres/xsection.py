@@ -133,20 +133,13 @@ class XsecMatrix:
         )
 
 
-def _gram(f: np.ndarray, weights: np.ndarray | None) -> tuple[float, float, complex]:
+def _gram(f: np.ndarray, weights: np.ndarray) -> tuple[float, float, complex]:
     """Weighted Gram entries of the two amplitude columns.
 
-    ``f`` has shape (n_states, n_nodes, 2); ``weights`` has shape
-    (n_nodes,) or is None for an unweighted (single-angle) sum.
+    ``f`` has shape (n_states, n_nodes, 2); ``weights`` has shape (n_nodes,).
     """
-    f1 = f[:, :, 0]
-    f2 = f[:, :, 1]
-    p = np.abs(f) ** 2
-    if weights is None:
-        s12 = (np.conj(f1) * f2).sum()
-    else:
-        p = weights[:, np.newaxis] * p
-        s12 = (weights * np.conj(f1) * f2).sum()
+    p = weights[:, np.newaxis] * np.abs(f) ** 2
+    s12 = (weights * np.conj(f[:, :, 0]) * f[:, :, 1]).sum()
     return float(p[:, :, 0].sum()), float(p[:, :, 1].sum()), complex(s12)
 
 
@@ -167,12 +160,13 @@ def differential_matrix(table: AmplitudeTable, channel: str, node: int) -> XsecM
 
     No quadrature weight is applied; the sum runs over final states only.
     ``node`` must index the stored grid (no interpolation), else NodeOutOfRangeError.
+    The block's first call sums every node at once and keeps the result.
     """
     block = table.channel(channel)
     n_nodes = len(table.grid)
     if not 0 <= node < n_nodes:
         raise NodeOutOfRangeError(f"node {node} outside grid of {n_nodes} nodes")
-    s11, s22, s12 = _gram(block.amplitudes[:, node : node + 1, :], None)
+    s11, s22, s12 = block._node_grams[node]
     return XsecMatrix(
         channel=channel, kind="differential", sigma11=s11, sigma22=s22, sigma12=s12, node=node
     )

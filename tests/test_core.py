@@ -11,6 +11,7 @@ from cohres import (
     ChannelBlock,
     ChannelClosedError,
     ChannelState,
+    CohresError,
     NonPositiveError,
     TableValidationError,
     gauss_legendre_grid,
@@ -45,6 +46,23 @@ class TestChannelState:
     def test_invalid_states_raise(self, kwargs):
         with pytest.raises(ValueError):
             ChannelState(**kwargs)
+
+
+    @pytest.mark.parametrize("label", [5, None, b"x", ""], ids=["int", "none", "bytes", "empty"])
+    def test_arrangement_must_be_a_non_empty_string(self, label):
+        message = f"arrangement must be a non-empty string, got {label!r}"
+        with pytest.raises(CohresError) as err:
+            ChannelState(label, 0, 0, 0)
+        assert str(err.value) == message
+        with pytest.raises(CohresError) as err:
+            ChannelBlock(label, (), np.zeros((0, 1, 2), complex))
+        assert str(err.value) == message
+
+    def test_arrangement_is_stored_as_a_plain_str(self):
+        label = np.str_("D+HF")
+        assert type(ChannelState(label, 0, 0).arrangement) is str
+        block = ChannelBlock(label, (ChannelState(label, 0, 0),), np.zeros((1, 1, 2), complex))
+        assert type(block.arrangement) is str and block.arrangement == "D+HF"
 
 
 class TestAngleGrid:

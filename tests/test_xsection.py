@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from cohres import (
     gauss_legendre_grid,
     schwartz_ratio,
 )
+from cohres.scan import energy_scan
+from cohres.scenario import read_scenario
 from cohres.xsection import _gram
-from conftest import INITIAL, random_table
+from conftest import FHD_SCENARIO, INITIAL, random_table
 
 
 def table_from_arrays(amps, nodes, weights, label="P"):
@@ -120,11 +123,91 @@ class TestGramKernel:
             weights = gauss_legendre_grid(order).weights
             cases = [(f, weights), (np.asfortranarray(f), weights)]
             cases.append((f[:, ::2, :], weights[::2]))
-            cases += [(f[:, k : k + 1, :], None) for k in range(order)]
-            cases.append((f[::2, order // 2 : order // 2 + 1, :], None))
             for block, w in cases:
                 # repr tells -0.0 from 0.0, which == does not
                 assert repr(_gram(block, w)) == repr(gram_three_sums(block, w))
+
+
+def states_of(n_states, label="P"):
+    return tuple(ChannelState(label, 0, j, 0) for j in range(n_states))
+
+
+class TestNodeGrams:
+    """A block's per-node Grams, summed in one pass, equal one sum per node's slice."""
+
+    @pytest.mark.parametrize("n_states", [*range(1, 41), 127, 128, 129, 200])
+    def test_equals_three_sums_of_each_node_bit_for_bit(self, n_states):
+        # 8 and 128 states are where numpy's pairwise sum changes its blocking
+        rng = np.random.default_rng((20261019, n_states))
+        states = states_of(n_states)
+        for order in (1, 2, 7, 64):
+            shape = (n_states, order, 2)
+            f = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(
+                -4, 4, size=shape
+            )
+            # the reference sums the C-order copy a block stores: numpy sums a
+            # view with negative strides in another order
+            want = [repr(gram_three_sums(f[:, k : k + 1, :], None)) for k in range(order)]
+            reversed_layout = np.ascontiguousarray(f[::-1, ::-1, ::-1])[::-1, ::-1, ::-1]
+            for layout in (f, np.asfortranarray(f), reversed_layout):
+                grams = ChannelBlock("P", states, layout)._node_grams
+                assert [repr(g) for g in grams] == want
+
+    def test_signed_zeros_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        for n_states in (1, 2, 3, 4, 5, 9):
+            f = rng.choice([0.0, -0.0, 1.5, -2.0], size=(n_states, 8, 4)).view(complex)
+            grams = ChannelBlock("P", states_of(n_states), f)._node_grams
+            assert [repr(g) for g in grams] == [
+                repr(gram_three_sums(f[:, k : k + 1, :], None)) for k in range(8)
+            ]
+
+    def test_differential_matrix_reads_its_node(self, rng):
+        t = random_table(rng, n_states=3, order=9)
+        for block in t.channels:
+            for k, (s11, s22, s12) in enumerate(block._node_grams):
+                m = differential_matrix(t, block.arrangement, k)
+                assert repr((m.sigma11, m.sigma22, m.sigma12)) == repr((s11, s22, s12))
+
+    def test_computed_once_per_block_and_read_only(self, rng):
+        t = random_table(rng, n_states=2, order=5)
+        block = t.channel("D+HF")
+        assert "_node_grams" not in vars(block)
+        differential_matrix(t, "D+HF", 0)
+        grams = vars(block)["_node_grams"]
+        differential_matrix(t, "D+HF", 4)
+        assert block._node_grams is grams and len(grams) == 5
+        assert all(
+            [type(x) for x in g] == [float, float, complex] for g in grams
+        ), "plain scalars, not numpy ones"
+        with pytest.raises(FrozenInstanceError):
+            block._node_grams = ()
+        with pytest.raises(FrozenInstanceError):
+            del block._node_grams
+        assert block._node_grams is grams
+        assert all("_node_grams" not in vars(b) for b in t.channels if b is not block)
+
+    def test_table_equality_and_repr_unchanged(self, rng):
+        t = random_table(rng, n_states=2, order=5)
+        before = repr(t)
+        for label in t.arrangements():
+            differential_matrix(t, label, 2)
+        assert repr(t) == before and t == replace(t) and t.channels[0] == t.channels[0]
+        assert [f.name for f in fields(ChannelBlock)] == ["arrangement", "states", "amplitudes"]
+
+    def test_integral_use_never_runs_the_node_pass(self, rng, monkeypatch):
+        t = random_table(rng, n_states=2, order=5)
+        for label in t.arrangements():
+            cross_section_matrix(t, label)
+        assert all("_node_grams" not in vars(b) for b in t.channels)
+
+        runs = []
+        monkeypatch.setattr(ChannelBlock, "_node_grams", property(runs.append))
+        energy_scan(read_scenario(FHD_SCENARIO), [0.25, 0.255, 0.26], ("D+HF", "H+DF"))
+        assert runs == []
+        with pytest.raises(TypeError):  # the patch is live: None is not subscriptable
+            differential_matrix(t, "D+HF", 0)
+        assert len(runs) == 1
 
 
 class TestDifferentialMatrix:
