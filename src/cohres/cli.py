@@ -176,6 +176,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_control(args) -> int:
     """Extrema of sigma (one channel) or of r = num/den, then the s = 0, 1 limits."""
+    if (args.num is None) != (args.den is None):
+        args.error("--num and --den must be given together")
     table = read_table(args.table)
     num, den = _matrices(args, table)
     limits = noncoherent_limits(num)
@@ -222,8 +224,9 @@ def _scan_energies(args) -> list[float]:
 
 
 def _cmd_scan(args) -> int:
+    energies = _scan_energies(args)
     cfg = read_scenario(args.config)
-    rows = energy_scan(cfg, args.energies, args.pair)
+    rows = energy_scan(cfg, energies, args.pair)
     write_scan_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -243,19 +246,11 @@ def _cmd_validate(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "scan":
-        args.energies = _scan_energies(args)
-    if args.command == "control" and (args.num is None) != (args.den is None):
-        args.error("--num and --den must be given together")
     try:
         return args.handler(args)
     except (CohresError, OSError) as exc:
         print(f"cohres: error: {exc}", file=sys.stderr)
         return 1
-
-
-def console_entry() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

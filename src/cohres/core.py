@@ -77,6 +77,22 @@ def _label(x, what: str) -> str:
     raise CohresError(f"{what} must be a non-empty string, got {x!r}")
 
 
+def _real(x, what: str) -> float:
+    """``x`` as a plain float if it is a real number and not a bool; anything else is refused."""
+    if isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool)):
+        return float(x)
+    raise CohresError(f"{what} must be a real number, got {x!r}")
+
+
+def _grid_order(x, what: str) -> int:
+    """The grid-order rule of grids and scenarios: an integer in [1, MAX_GRID_ORDER], as an int."""
+    n = _index(x, what)
+    if not 1 <= n <= MAX_GRID_ORDER:
+        error = NonPositiveError if n < 1 else CohresError
+        raise error(f"{what} must lie in [1, {MAX_GRID_ORDER}], got {n}")
+    return n
+
+
 def _pair_violations(pair: tuple) -> list[str]:
     """The initial-pair rule of tables and scenarios: one message per violation."""
     if len(pair) != 2:
@@ -91,6 +107,22 @@ def _pair_violations(pair: tuple) -> list[str]:
         out.append(
             "initial_pair: helicities differ; only azimuthally symmetric "
             "tables (equal m) are supported"
+        )
+    return out
+
+
+def _channel_violations(channels) -> list[str]:
+    """The channel rule of tables and scenarios over ``(label, states)`` pairs: labels are
+    unique and each state carries its channel's label.  One message per violation."""
+    out, seen = [], set()
+    for label, states in channels:
+        if label in seen:
+            out.append(f"channel {label!r}: duplicate arrangement label")
+        seen.add(label)
+        out.extend(
+            f"channel {label!r}: state {n} carries arrangement {s.arrangement!r}"
+            for n, s in enumerate(states)
+            if s.arrangement != label
         )
     return out
 
@@ -187,11 +219,7 @@ def gauss_legendre_grid(order: int) -> AngleGrid:
 
     Exact for integrands polynomial in cos(theta) up to degree 2*order - 1.
     """
-    if order < 1:
-        raise NonPositiveError(f"grid order must be >= 1, got {order}")
-    if order > MAX_GRID_ORDER:
-        raise CohresError(f"grid order must be <= {MAX_GRID_ORDER}, got {order}")
-    x, w = leggauss(order)
+    x, w = leggauss(_grid_order(order, "grid order"))
     theta = np.arccos(x)[::-1]  # arccos is decreasing; reverse for increasing theta
     weights = 2.0 * math.pi * w[::-1]
     return AngleGrid(theta, weights)
@@ -238,9 +266,10 @@ class AmplitudeTable:
 
     The constructor checks every table invariant and raises
     TableValidationError with one message per violation, in the order:
-    initial pair, energy, grid, then each channel block.  A block whose
-    amplitude shape is wrong gets no finer checks.  ``energy`` is stored as
-    a float; a bool or a value that is not a real number is a violation.
+    initial pair, energy, grid, channel labels, then each block's
+    amplitudes.  A block whose amplitude shape is wrong gets no finiteness
+    check.  ``energy`` is stored as a float; a bool or a value that is not a
+    real number is a violation (see ``_real``).
     """
 
     energy: float
@@ -249,9 +278,10 @@ class AmplitudeTable:
     channels: tuple[ChannelBlock, ...]
 
     def __post_init__(self):
-        e = self.energy  # float first: the numbers.Real check costs ~0.3 us per scan table
-        if isinstance(e, float) or (isinstance(e, numbers.Real) and not isinstance(e, bool)):
-            object.__setattr__(self, "energy", float(e))
+        try:
+            object.__setattr__(self, "energy", _real(self.energy, "energy"))
+        except CohresError:
+            pass  # _check lists it with the other violations
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
         object.__setattr__(self, "channels", tuple(self.channels))
         violations = self._check()
@@ -265,14 +295,11 @@ class AmplitudeTable:
         elif not math.isfinite(self.energy):
             out.append("energy: must be finite")
         out.extend(self.grid.violations())
+        out.extend(_channel_violations((b.arrangement, b.states) for b in self.channels))
 
         n_nodes = len(self.grid)
-        seen = set()
         for block in self.channels:
             label = block.arrangement
-            if label in seen:
-                out.append(f"channel {label!r}: duplicate arrangement label")
-            seen.add(label)
             expected = (len(block.states), n_nodes, 2)
             if block.amplitudes.shape != expected:
                 out.append(
@@ -287,12 +314,6 @@ class AmplitudeTable:
                     f"channel {label!r}: non-finite amplitude at state {n}, "
                     f"node {k}, column {i}"
                 )
-            for n, s in enumerate(block.states):
-                if s.arrangement != label:
-                    out.append(
-                        f"channel {label!r}: state {n} carries arrangement "
-                        f"{s.arrangement!r}"
-                    )
         return out
 
     def arrangements(self) -> tuple[str, ...]:

@@ -51,7 +51,8 @@ class TableValidationError(CohresError):
     """A table violates its invariants; ``violations`` lists each one.
 
     Raised by the ``AmplitudeTable`` constructor, so by every path that builds
-    a table, and by ``ScenarioConfig`` for an initial pair no table can carry.
+    a table, and by ``ScenarioConfig`` for an initial pair or channels no
+    table can carry.
     ``where``, the file ``read_table`` read, prefixes the message, not the list.
     """
 

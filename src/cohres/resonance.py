@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .constants import HBAR_EV_FS, TWO_PI
-from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState, _label
+from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState, _label, _real
 from .errors import CohresError, NonPositiveError, SpecMismatchError, UnknownChannelError
 
 __all__ = [
@@ -91,7 +91,8 @@ class ResonanceSpec:
     ``entrance`` couples the intermediate to the two initial states;
     ``exits`` list, per product arrangement, the final states it decays
     into.  The complex resonance energy is eps_r - i*Gamma/2 (decaying
-    state, lower half plane).
+    state, lower half plane).  ``epsilon_r`` and ``gamma_width`` are stored
+    as plain floats (see ``core._real``).
     """
 
     epsilon_r: float
@@ -100,6 +101,8 @@ class ResonanceSpec:
     exits: tuple[ExitChannel, ...]
 
     def __post_init__(self):
+        for name in ("epsilon_r", "gamma_width"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         object.__setattr__(self, "entrance", tuple(complex(g) for g in self.entrance))
         _require_finite(
             epsilon_r=self.epsilon_r, gamma_width=self.gamma_width, entrance=self.entrance
@@ -175,6 +178,8 @@ class BackgroundSpec:
     channels: tuple[BackgroundChannel, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        reference_energy = _real(self.reference_energy, "reference_energy")
+        object.__setattr__(self, "reference_energy", reference_energy)
         _require_finite(reference_energy=self.reference_energy)
         object.__setattr__(self, "channels", tuple(self.channels))
 
@@ -267,13 +272,33 @@ def synthesize_table(
     equal to the direct evaluation to rounding.
     """
     _check_specs(res, bg, mix)
-    if basis is not None:
-        return _table_from_basis(res, bg, grid, energy, initial_pair, basis)
+    if basis is None:
+        amplitudes = _direct_amplitudes(res, bg, grid, energy, mix)
+    else:
+        shapes = [(3, len(ch.states), len(grid), 2) for ch in res.exits]
+        if [np.shape(b) for b in basis] != shapes:
+            raise CohresError(
+                f"basis shapes {[np.shape(b) for b in basis]} do not match the specs "
+                f"and grid, expected {shapes}"
+            )
+        bw = breit_wigner_factor(energy, res)
+        t = energy - bg.reference_energy
+        amplitudes = [bw * b[0] + b[1] + t * b[2] for b in basis]
+    blocks = tuple(
+        ChannelBlock(ch.arrangement, tuple(s.state for s in ch.states), a)
+        for ch, a in zip(res.exits, amplitudes)
+    )
+    return AmplitudeTable(energy, tuple(initial_pair), grid, blocks)
 
+
+def _direct_amplitudes(
+    res: ResonanceSpec, bg: BackgroundSpec, grid: AngleGrid, energy: float, mix: float
+) -> list[np.ndarray]:
+    """Each channel's amplitudes at ``energy`` by direct evaluation: the basis path's reference."""
     x = np.cos(grid.nodes)
     bw = breit_wigner_factor(energy, res)
     g1, g2 = res.entrance
-    blocks = []
+    out = []
     for res_ch, bg_ch in zip(res.exits, bg.channels):
         n_states = len(res_ch.states)
         amps = np.zeros((n_states, len(grid), 2), dtype=complex)
@@ -288,19 +313,8 @@ def synthesize_table(
             )
             amps[n, :, 0] += direct * bg_st.column_weights[0]
             amps[n, :, 1] += direct * bg_st.column_weights[1]
-        blocks.append(
-            ChannelBlock(
-                arrangement=res_ch.arrangement,
-                states=tuple(s.state for s in res_ch.states),
-                amplitudes=amps,
-            )
-        )
-    return AmplitudeTable(
-        energy=energy,
-        initial_pair=tuple(initial_pair),
-        grid=grid,
-        channels=tuple(blocks),
-    )
+        out.append(amps)
+    return out
 
 
 def synthesis_basis(
@@ -335,31 +349,3 @@ def synthesis_basis(
         bases.append(basis)
     return tuple(bases)
 
-
-def _table_from_basis(
-    res: ResonanceSpec,
-    bg: BackgroundSpec,
-    grid: AngleGrid,
-    energy: float,
-    initial_pair: tuple[ChannelState, ChannelState],
-    basis: Sequence[np.ndarray],
-) -> AmplitudeTable:
-    shapes = [(3, len(ch.states), len(grid), 2) for ch in res.exits]
-    if [np.shape(b) for b in basis] != shapes:
-        raise CohresError(
-            f"basis shapes {[np.shape(b) for b in basis]} do not match the specs "
-            f"and grid, expected {shapes}"
-        )
-    bw = breit_wigner_factor(energy, res)
-    t = energy - bg.reference_energy
-    blocks = tuple(
-        ChannelBlock(
-            arrangement=ch.arrangement,
-            states=tuple(s.state for s in ch.states),
-            amplitudes=bw * b[0] + b[1] + t * b[2],
-        )
-        for ch, b in zip(res.exits, basis)
-    )
-    return AmplitudeTable(
-        energy=energy, initial_pair=tuple(initial_pair), grid=grid, channels=blocks
-    )

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
-from .core import MAX_GRID_ORDER, AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
-from .core import _pair_violations
+from .core import AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
+from .core import _channel_violations, _grid_order, _pair_violations, _real
 from .errors import CohresError, TableValidationError
 from .resonance import (
     BackgroundChannel,
@@ -38,7 +39,10 @@ class ScenarioConfig:
     ``masses_amu`` carries the collision masses for kinematic bookkeeping
     (they never enter the amplitudes); ``energy_offset`` is a labelling
     offset only, recording which zero the scan energies are quoted
-    against.  The initial pair must pass the table's pair rule, checked here.
+    against.  The pair, channel and grid-order rules of its tables and grid
+    are checked here by the same ``core`` code.  Real fields are stored as
+    plain floats and ``grid_order`` as an int, so every scenario writes a
+    file that reads back.  The grid is built on first use and kept.
     """
 
     resonance: ResonanceSpec
@@ -50,17 +54,26 @@ class ScenarioConfig:
     energy_offset: float = 0.0
 
     def __post_init__(self):
+        for name in ("mix", "energy_offset"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if not all(isinstance(k, str) for k in self.masses_amu):
+            raise CohresError(f"masses_amu keys must be strings, got {list(self.masses_amu)!r}")
+        masses = {str(k): _real(m, f"mass {k!r}") for k, m in self.masses_amu.items()}
+        object.__setattr__(self, "masses_amu", masses)
         _check_specs(self.resonance, self.background, self.mix)
-        if not 1 <= self.grid_order <= MAX_GRID_ORDER:
-            raise CohresError(
-                f"grid_order must lie in [1, {MAX_GRID_ORDER}], got {self.grid_order!r}"
-            )
+        object.__setattr__(self, "grid_order", _grid_order(self.grid_order, "grid_order"))
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
-        if violations := _pair_violations(self.initial_pair):
+        channels = [(ch.arrangement, [s.state for s in ch.states]) for ch in self.resonance.exits]
+        if violations := _pair_violations(self.initial_pair) + _channel_violations(channels):
             raise TableValidationError(violations)
 
-    def grid(self) -> AngleGrid:
+    @cached_property
+    def _grid(self) -> AngleGrid:
         return gauss_legendre_grid(self.grid_order)
+
+    def grid(self) -> AngleGrid:
+        """The scenario's Gauss-Legendre grid, built on its first use and kept."""
+        return self._grid
 
     def table_at(self, energy: float) -> AmplitudeTable:
         """Synthesize the amplitude table at one total energy."""

@@ -134,3 +134,14 @@ def random_scenario(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Fail the test if any Gauss-Legendre grid is built."""
+    import cohres.core
+
+    def leggauss(order):
+        raise AssertionError(f"a grid of order {order} was built")
+
+    monkeypatch.setattr(cohres.core, "leggauss", leggauss)

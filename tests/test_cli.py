@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cohres import (
     read_table,
     schwartz_ratio,
     write_scan_csv,
+    write_table,
 )
 from cohres.cli import main
 from cohres.errors import CohresError
@@ -155,6 +157,16 @@ class TestControlCommand:
         assert parse_line(r"^r_max = (\S+) at", out).group(1) == "inf"
         assert parse_line(r"^r_s0 = (\S+)$", out).group(1) == "inf"
         assert float(parse_line(r"^r_s1 = (\S+)$", out).group(1)) == num.sigma22 / den.sigma22
+
+    def test_pure_pole_ratio_is_independent_of_the_control(self, tmp_path, capsys):
+        # without a direct term both channels factorize through the one pole
+        table = tmp_path / "pole.json"
+        write_table(replace(read_scenario(FHD_SCENARIO), mix=1.0).table_at(0.255), table)
+        assert main(["control", "--table", str(table), "--num", "D+HF", "--den", "H+DF"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "r is independent of the control parameters"
+        # the decay branching, 10 : 1 by the scenario's construction
+        assert float(parse_line(r"^r_min = (\S+)", lines[0]).group(1)) == pytest.approx(10.0)
 
     def test_tol_singular_flag_reaches_solver(self, fhd_table, capsys):
         # an absurdly loose threshold treats the healthy denominator as

@@ -98,6 +98,34 @@ class TestAngleGrid:
         with pytest.raises(ValueError, match="grid order"):
             gauss_legendre_grid(MAX_GRID_ORDER + 1)
 
+    @pytest.mark.parametrize(
+        "order", [64.0, True, "64", None], ids=["float", "bool", "str", "none"]
+    )
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(CohresError) as err:
+            gauss_legendre_grid(order)
+        assert str(err.value) == f"grid order must be an integer, got {order!r}"
+
+    def test_numpy_integer_order_is_taken(self):
+        assert len(gauss_legendre_grid(np.int64(3))) == 3
+
+    @pytest.mark.parametrize(
+        "nodes, weights, message",
+        [
+            ([[1.0, 2.0]], [[1.0, 2.0]], "grid: nodes and weights must be one-dimensional"),
+            ([1.0, 2.0], [FOUR_PI], "grid: 2 nodes but 1 weights"),
+            ([], [], "grid: empty"),
+            ([1.0, math.nan], [1.0, 1.0], "grid: non-finite node or weight"),
+            ([1.0, 2.0], [FOUR_PI, 0.0], "grid: every weight must be > 0"),
+            ([0.0, 2.0], [FOUR_PI / 2] * 2, "grid: nodes must lie strictly inside (0, pi)"),
+            ([2.0, 1.0], [FOUR_PI / 2] * 2, "grid: nodes must be strictly increasing"),
+        ],
+        ids=["two-dimensional", "size-mismatch", "empty", "non-finite", "zero-weight",
+             "node-at-zero", "decreasing"],
+    )
+    def test_each_grid_rule_reports_itself(self, nodes, weights, message):
+        assert AngleGrid(nodes, weights).violations() == [message]
+
 
 class TestKinematicPair:
     def test_fhd_pair_offsets(self):
@@ -242,6 +270,29 @@ class TestTableConstruction:
         other = random_table(rng, n_states=2, order=7)
         with pytest.raises(TableValidationError, match=r"shape \(2, 7, 2\), expected \(2, 6, 2\)"):
             AmplitudeTable(t.energy, t.initial_pair, t.grid, other.channels)
+
+    def test_pair_from_two_arrangements_rejected(self, rng):
+        t = random_table(rng, n_states=1, order=4)
+        pair = (INITIAL[0], ChannelState("F+DH", 0, 1, 0))
+        with pytest.raises(TableValidationError) as err:
+            AmplitudeTable(t.energy, pair, t.grid, t.channels)
+        assert err.value.violations == ["initial_pair: arrangements differ ('F+HD' vs 'F+DH')"]
+
+    def test_channel_rule_listed_before_amplitudes(self, rng):
+        # the label rule runs over every block, a block of the wrong shape included
+        t = random_table(rng, n_states=2, order=4)
+        a, b = t.channels
+        relabelled = ChannelBlock("D+HF", (a.states[0], ChannelState("XX", 0, 1, 0)), a.amplitudes)
+        duplicate = ChannelBlock("D+HF", b.states, b.amplitudes[:, :3])
+        with pytest.raises(TableValidationError) as err:
+            AmplitudeTable(t.energy, t.initial_pair, t.grid, (relabelled, duplicate))
+        assert err.value.violations == [
+            "channel 'D+HF': state 1 carries arrangement 'XX'",
+            "channel 'D+HF': duplicate arrangement label",
+            "channel 'D+HF': state 0 carries arrangement 'H+DF'",
+            "channel 'D+HF': state 1 carries arrangement 'H+DF'",
+            "channel 'D+HF': amplitude array has shape (2, 3, 2), expected (2, 4, 2)",
+        ]
 
     def test_three_state_pair_rejected(self, rng):
         t = random_table(rng, n_states=1, order=4)

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from cohres import (
     BackgroundSpec,
     BackgroundState,
     ChannelState,
+    CohresError,
     ControlParams,
     ExitChannel,
     ExitState,
     NonPositiveError,
     ResonanceSpec,
     SpecMismatchError,
+    UnknownChannelError,
     breit_wigner_factor,
     controlled_ratio,
     cross_section_matrix,
@@ -231,6 +234,58 @@ class TestSynthesizeTable:
             synthesize_table(res, bg, gauss_legendre_grid(5), 0.3, INITIAL, 0.5, basis=basis)
         with pytest.raises(ValueError, match="basis shapes"):
             synthesize_table(res, bg, gauss_legendre_grid(4), 0.3, INITIAL, 0.5, basis=basis[:1])
+
+
+class TestSpecRules:
+    """Each spec record refuses, when it is built, what no table can be synthesized from."""
+
+    def test_exit_state_needs_a_shape(self):
+        with pytest.raises(CohresError) as err:
+            ExitState(ChannelState("D+HF", 0, 0, 0), 1.0, ())
+        assert str(err.value) == "angular shape needs at least one Legendre coefficient"
+
+    @pytest.mark.parametrize("entrance", [(1.0,), (1.0, 0.5, 0.25)], ids=["one", "three"])
+    def test_entrance_couples_two_states(self, entrance):
+        res, _ = simple_specs()
+        with pytest.raises(CohresError) as err:
+            replace(res, entrance=entrance)
+        assert str(err.value) == "entrance must couple exactly two initial states"
+
+    def test_some_exit_coupling_is_nonzero(self):
+        res, _ = simple_specs()
+        silent = tuple(
+            replace(ch, states=tuple(replace(s, coupling=0.0) for s in ch.states))
+            for ch in res.exits
+        )
+        with pytest.raises(CohresError) as err:
+            replace(res, exits=silent)
+        assert str(err.value) == "at least one exit coupling must be nonzero"
+
+    def test_unknown_exit_channel(self):
+        res, _ = simple_specs()
+        with pytest.raises(UnknownChannelError) as err:
+            res.exit_channel("XX")
+        assert str(err.value) == "no exit channel 'XX'"
+
+    @pytest.mark.parametrize("weights", [(1.0,), (1.0, 1.0, 1.0)], ids=["one", "three"])
+    def test_background_couples_two_columns(self, weights):
+        _, bg = simple_specs()
+        with pytest.raises(CohresError) as err:
+            replace(bg.channels[0].states[0], column_weights=weights)
+        assert str(err.value) == "column_weights must have exactly two entries"
+
+    @pytest.mark.parametrize(
+        "value", [True, "0.3", None, 0.3j], ids=["bool", "str", "none", "complex"]
+    )
+    @pytest.mark.parametrize("name", ["epsilon_r", "gamma_width", "reference_energy"])
+    def test_real_field_takes_only_a_real_number(self, name, value):
+        res, bg = simple_specs()
+        record = bg if name == "reference_energy" else res
+        with pytest.raises(CohresError) as err:
+            replace(record, **{name: value})
+        assert str(err.value) == f"{name} must be a real number, got {value!r}"
+        for number in (1, np.float32(0.25), np.int64(1)):
+            assert type(getattr(replace(record, **{name: number}), name)) is float
 
 
 class TestBranching:

@@ -371,6 +371,23 @@ class TestTableErrors:
         assert m.sigma11 == pytest.approx(1.25, rel=1e-15)
 
 
+def relabel_state(doc, c, n, label):
+    """Give state ``n`` of channel ``c``, in the resonance and the background alike, ``label``."""
+    for channels in (doc["resonance"]["exits"], doc["background"]["channels"]):
+        channels[c]["states"][n]["arrangement"] = label
+
+
+def relabel_channel(doc, c, label):
+    """Give channel ``c``, in the resonance and the background alike, ``label``."""
+    for channels in (doc["resonance"]["exits"], doc["background"]["channels"]):
+        channels[c]["arrangement"] = label
+
+
+def mixed_m_and_relabelled(doc):
+    doc["initial_pair"][1]["m"] = 1
+    relabel_state(doc, 1, 1, "D+HF")
+
+
 class TestScenarioIo:
     def test_scenario_round_trip(self, tmp_path):
         cfg = read_scenario(FHD_SCENARIO)
@@ -379,23 +396,19 @@ class TestScenarioIo:
         assert path.read_bytes() == FHD_SCENARIO.read_bytes()
         assert read_scenario(path) == cfg
 
-    def test_grid_order_capped_before_any_grid(self, tmp_path, monkeypatch, capsys):
-        import cohres.core
+    def test_grid_order_capped_before_any_grid(self, tmp_path, no_grid, capsys):
         from cohres.cli import main
         from cohres.core import MAX_GRID_ORDER
 
-        def no_grid(order):
-            raise AssertionError(f"a grid of order {order} was built")
-
-        monkeypatch.setattr(cohres.core, "leggauss", no_grid)
         cfg = json.loads(FHD_SCENARIO.read_text())
         cfg["grid_order"] = 10**6
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(cfg))
         with pytest.raises(MalformedFileError, match="grid_order"):
             read_scenario(path)
-        with pytest.raises(ValueError, match="grid_order"):
-            replace(read_scenario(FHD_SCENARIO), grid_order=MAX_GRID_ORDER + 1)
+        for order in (MAX_GRID_ORDER + 1, 0, 64.0, True, "64"):
+            with pytest.raises(ValueError, match="grid_order"):
+                replace(read_scenario(FHD_SCENARIO), grid_order=order)
         out = tmp_path / "t.json"
         assert main(["synth", "--config", str(path), "--energy", "0.255", "--out", str(out)]) == 1
         assert main(
@@ -405,14 +418,9 @@ class TestScenarioIo:
         assert not out.exists()
         assert "grid_order" in capsys.readouterr().err
 
-    def test_mismatched_specs_rejected_before_any_grid(self, tmp_path, monkeypatch, capsys):
-        import cohres.core
+    def test_mismatched_specs_rejected_before_any_grid(self, tmp_path, no_grid, capsys):
         from cohres.cli import main
 
-        def no_grid(order):
-            raise AssertionError(f"a grid of order {order} was built")
-
-        monkeypatch.setattr(cohres.core, "leggauss", no_grid)
         cfg = json.loads(FHD_SCENARIO.read_text())
         h_df = next(ch for ch in cfg["background"]["channels"] if ch["arrangement"] == "H+DF")
         h_df["states"].pop()
@@ -439,13 +447,7 @@ class TestScenarioIo:
         ],
         ids=["mixed-m", "repeated", "three-states"],
     )
-    def test_invalid_pair_rejected_before_any_grid(self, tmp_path, monkeypatch, pair, message):
-        import cohres.core
-
-        def no_grid(order):
-            raise AssertionError(f"a grid of order {order} was built")
-
-        monkeypatch.setattr(cohres.core, "leggauss", no_grid)
+    def test_invalid_pair_rejected_before_any_grid(self, tmp_path, no_grid, pair, message):
         cfg = read_scenario(FHD_SCENARIO)
         with pytest.raises(TableValidationError, match=message) as err:
             replace(cfg, initial_pair=tuple(pair))
@@ -457,6 +459,36 @@ class TestScenarioIo:
         with pytest.raises(MalformedFileError, match=message) as err:
             read_scenario(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "mutate, violations",
+        [
+            (lambda doc: relabel_state(doc, 0, 0, "XX"),
+             ["channel 'D+HF': state 0 carries arrangement 'XX'"]),
+            (lambda doc: relabel_channel(doc, 1, "D+HF"),
+             ["channel 'D+HF': duplicate arrangement label",
+              "channel 'D+HF': state 0 carries arrangement 'H+DF'",
+              "channel 'D+HF': state 1 carries arrangement 'H+DF'"]),
+            (mixed_m_and_relabelled,
+             ["initial_pair: helicities differ; only azimuthally symmetric tables (equal m) "
+              "are supported",
+              "channel 'H+DF': state 1 carries arrangement 'D+HF'"]),
+        ],
+        ids=["relabelled-state", "duplicate-label", "pair-and-channel"],
+    )
+    def test_channel_rule_refused_before_any_grid(
+        self, tmp_path, no_grid, capsys, mutate, violations
+    ):
+        doc = json.loads(FHD_SCENARIO.read_text())
+        mutate(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError) as err:
+            read_scenario(path)
+        assert str(err.value) == f"{path}: TableValidationError: " + "; ".join(violations)
+        assert type(err.value.__cause__) is TableValidationError  # the scenario's own check
+        assert err.value.__cause__.violations == violations
+        self._assert_cli_rejects(path, capsys)
 
     @pytest.mark.parametrize("value", ["1e999", "64.9", '"64"', "true"])
     def test_grid_order_must_be_an_integer(self, tmp_path, value):
@@ -681,6 +713,16 @@ class TestScenarioIo:
         with pytest.raises(MalformedFileError, match="AttributeError") as err:
             read_scenario(path)
         assert str(err.value).startswith(str(path))
+        self._assert_cli_rejects(path, capsys)
+
+    @pytest.mark.parametrize("text", ["[]", "0.5", '"scenario"', "null"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        for read in (read_table, read_scenario):
+            with pytest.raises(MalformedFileError) as err:
+                read(path)
+            assert str(err.value) == f"{path}: top level must be an object"
         self._assert_cli_rejects(path, capsys)
 
     def test_deep_nesting_is_malformed(self, tmp_path, capsys):

@@ -263,6 +263,23 @@ class TestXsecMatrixInvariants:
         with pytest.raises(ValueError, match="sigma11"):
             XsecMatrix("X", "integral", -1e-13, 1e-20, 0.0)
 
+    @pytest.mark.parametrize(
+        "kind, node, sigma12, message",
+        [
+            ("total", None, 0.0, "kind must be integral|differential, got 'total'"),
+            ("integral", 3, 0.0, "node index is required iff kind == differential"),
+            ("differential", None, 0.0, "node index is required iff kind == differential"),
+            ("integral", None, complex(math.inf, 0.0), "sigma12 must be finite, got (inf+0j)"),
+            ("integral", None, complex(0.0, math.nan), "sigma12 must be finite, got nanj"),
+        ],
+        ids=["bad-kind", "node-of-integral", "differential-without-node", "inf-sigma12",
+             "nan-sigma12"],
+    )
+    def test_constructor_rules(self, kind, node, sigma12, message):
+        with pytest.raises(CohresError) as err:
+            XsecMatrix("X", kind, 1.0, 1.0, sigma12, node)
+        assert str(err.value) == message
+
     def test_gram_matrices_are_psd(self, rng):
         # 1000 random tables; the assembled matrix must be PSD
         for _ in range(1000):
@@ -333,6 +350,12 @@ class TestControlParams:
             ControlParams(1.5, 0.0)
         with pytest.raises(ValueError):
             ControlParams(-0.1, 0.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase(self, phi):
+        with pytest.raises(CohresError) as err:
+            ControlParams(0.5, phi)
+        assert str(err.value) == f"phi12 must be finite, got {phi!r}"
 
 
 class TestSchwartzRatio:
