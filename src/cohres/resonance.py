@@ -231,7 +231,9 @@ def resonance_branching_ratio(spec: ResonanceSpec, channel_a: str, channel_b: st
     return flux(channel_a) / flux(channel_b)
 
 
-def _check_specs(res: ResonanceSpec, bg: BackgroundSpec, mix: float) -> None:
+def _check_specs(res: ResonanceSpec, bg: BackgroundSpec, mix: float) -> float:
+    """Refuse specs that cannot be synthesized together; return ``mix`` as a plain float."""
+    mix = _real(mix, "mix")
     if not 0.0 <= mix <= 1.0:
         raise CohresError(f"mix must lie in [0, 1], got {mix!r}")
     res_list = [(ch.arrangement, tuple(s.state for s in ch.states)) for ch in res.exits]
@@ -241,6 +243,7 @@ def _check_specs(res: ResonanceSpec, bg: BackgroundSpec, mix: float) -> None:
             f"resonance covers {res_list}, background covers {bg_list} "
             "(same channels, same states, same order required)"
         )
+    return mix
 
 
 def synthesize_table(
@@ -264,57 +267,33 @@ def synthesize_table(
     amplitude and w_i the per-column background weights.  ``mix`` = 1 gives
     a purely pole-mediated (factorized) table, ``mix`` = 0 a purely direct
     one.  Resonance and background must cover identical channel and state
-    lists (SpecMismatchError otherwise).
+    lists (SpecMismatchError otherwise), and ``mix`` must be a real number
+    in [0, 1].
 
-    ``basis``, the ``synthesis_basis(res, bg, grid, mix)`` of these same
-    arguments, skips the energy-independent work when many energies are
-    synthesized: the amplitudes are then bw(E)*P + D + (E - E_ref)*S,
-    equal to the direct evaluation to rounding.
+    Every table is combined by one formula, bw(E)*P + D + (E - E_ref)*S,
+    from the energy-independent terms of ``synthesis_basis``.  A caller
+    that synthesizes many energies passes that basis of these same
+    arguments as ``basis`` and skips the energy-independent work; without
+    it, the basis is built here.  Either way the amplitudes are the same
+    bits.
     """
-    _check_specs(res, bg, mix)
     if basis is None:
-        amplitudes = _direct_amplitudes(res, bg, grid, energy, mix)
+        basis = synthesis_basis(res, bg, grid, mix)
     else:
+        _check_specs(res, bg, mix)
         shapes = [(3, len(ch.states), len(grid), 2) for ch in res.exits]
         if [np.shape(b) for b in basis] != shapes:
             raise CohresError(
                 f"basis shapes {[np.shape(b) for b in basis]} do not match the specs "
                 f"and grid, expected {shapes}"
             )
-        bw = breit_wigner_factor(energy, res)
-        t = energy - bg.reference_energy
-        amplitudes = [bw * b[0] + b[1] + t * b[2] for b in basis]
+    bw = breit_wigner_factor(energy, res)
+    t = energy - bg.reference_energy
     blocks = tuple(
-        ChannelBlock(ch.arrangement, tuple(s.state for s in ch.states), a)
-        for ch, a in zip(res.exits, amplitudes)
+        ChannelBlock(ch.arrangement, tuple(s.state for s in ch.states), bw * b[0] + b[1] + t * b[2])
+        for ch, b in zip(res.exits, basis)
     )
     return AmplitudeTable(energy, tuple(initial_pair), grid, blocks)
-
-
-def _direct_amplitudes(
-    res: ResonanceSpec, bg: BackgroundSpec, grid: AngleGrid, energy: float, mix: float
-) -> list[np.ndarray]:
-    """Each channel's amplitudes at ``energy`` by direct evaluation: the basis path's reference."""
-    x = np.cos(grid.nodes)
-    bw = breit_wigner_factor(energy, res)
-    g1, g2 = res.entrance
-    out = []
-    for res_ch, bg_ch in zip(res.exits, bg.channels):
-        n_states = len(res_ch.states)
-        amps = np.zeros((n_states, len(grid), 2), dtype=complex)
-        for n, (res_st, bg_st) in enumerate(zip(res_ch.states, bg_ch.states)):
-            pole = mix * res_st.coupling * bw * legval(x, list(res_st.shape))
-            amps[n, :, 0] = pole * g1
-            amps[n, :, 1] = pole * g2
-            direct = (
-                (1.0 - mix)
-                * (bg_st.amplitude + bg_st.slope * (energy - bg.reference_energy))
-                * legval(x, list(bg_st.shape))
-            )
-            amps[n, :, 0] += direct * bg_st.column_weights[0]
-            amps[n, :, 1] += direct * bg_st.column_weights[1]
-        out.append(amps)
-    return out
 
 
 def synthesis_basis(
@@ -329,11 +308,12 @@ def synthesis_basis(
 
     for the returned ``B = basis[c]`` of shape (3, n_states, n_nodes, 2):
     the pole term P, the direct term at the reference energy D and the
-    direct slope S, stacked.  Passed as ``synthesize_table(..., basis=)``
-    it is computed once for a whole scan.  Channels follow ``res.exits``;
-    the ``mix`` and coverage checks are those of ``synthesize_table``.
+    direct slope S, stacked.  ``synthesize_table`` combines every table
+    from it; passed as its ``basis=``, it is computed once for a whole
+    scan.  Channels follow ``res.exits``; the ``mix`` and coverage checks
+    are those of ``synthesize_table``.
     """
-    _check_specs(res, bg, mix)
+    mix = _check_specs(res, bg, mix)
 
     x = np.cos(grid.nodes)
     entrance = np.array(res.entrance)

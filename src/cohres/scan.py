@@ -4,9 +4,10 @@ One row per total energy, carrying for every product channel the coherent
 extrema, the two no-interference cross sections and the Schwartz ratio,
 and for a designated channel pair the ratio extrema with their control
 parameters.  The scenario's energy-independent synthesis basis is
-computed once per scan and each energy's table is combined from it.  Rows
-follow input order, each row depends only on its own energy, and
-repeated runs are bit-identical.
+computed once per scan, and each energy's table is combined from it by
+the one formula every synthesized table uses.  Rows follow input order,
+each row depends only on its own energy, and repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ pairs; the format is self-describing and language-neutral.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 from .core import AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
 from .core import _channel_violations, _grid_order, _pair_violations, _real
@@ -41,8 +43,9 @@ class ScenarioConfig:
     offset only, recording which zero the scan energies are quoted
     against.  The pair, channel and grid-order rules of its tables and grid
     are checked here by the same ``core`` code.  Real fields are stored as
-    plain floats and ``grid_order`` as an int, so every scenario writes a
-    file that reads back.  The grid is built on first use and kept.
+    plain floats, ``grid_order`` as an int and ``masses_amu`` as a
+    read-only mapping, so every scenario writes a file that reads back.
+    The grid is built on first use and kept.
     """
 
     resonance: ResonanceSpec
@@ -50,7 +53,7 @@ class ScenarioConfig:
     mix: float
     grid_order: int
     initial_pair: tuple[ChannelState, ChannelState]
-    masses_amu: dict[str, float] = field(default_factory=dict)
+    masses_amu: Mapping[str, float] = field(default_factory=dict)
     energy_offset: float = 0.0
 
     def __post_init__(self):
@@ -59,7 +62,7 @@ class ScenarioConfig:
         if not all(isinstance(k, str) for k in self.masses_amu):
             raise CohresError(f"masses_amu keys must be strings, got {list(self.masses_amu)!r}")
         masses = {str(k): _real(m, f"mass {k!r}") for k, m in self.masses_amu.items()}
-        object.__setattr__(self, "masses_amu", masses)
+        object.__setattr__(self, "masses_amu", MappingProxyType(masses))
         _check_specs(self.resonance, self.background, self.mix)
         object.__setattr__(self, "grid_order", _grid_order(self.grid_order, "grid_order"))
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI
-from .core import AmplitudeTable
+from .core import AmplitudeTable, _real
 from .errors import CohresError, DegenerateChannelError, NodeOutOfRangeError
 
 __all__ = [
@@ -52,18 +52,21 @@ class ControlParams:
     """A point in control space: relative weight s and relative phase phi12.
 
     s = |c2|^2 / (|c1|^2 + |c2|^2) in [0, 1]; phi12 = Arg(c2/c1), stored
-    reduced to [0, 2*pi).
+    reduced to [0, 2*pi).  Both are real numbers, stored as plain floats
+    (see ``core._real``).
     """
 
     s: float
     phi12: float
 
     def __post_init__(self):
-        if not 0.0 <= self.s <= 1.0:
-            raise CohresError(f"s must lie in [0, 1], got {self.s!r}")
-        if not math.isfinite(self.phi12):
-            raise CohresError(f"phi12 must be finite, got {self.phi12!r}")
-        object.__setattr__(self, "phi12", _reduce_phase(self.phi12))
+        s, phi12 = _real(self.s, "s"), _real(self.phi12, "phi12")
+        if not 0.0 <= s <= 1.0:
+            raise CohresError(f"s must lie in [0, 1], got {s!r}")
+        if not math.isfinite(phi12):
+            raise CohresError(f"phi12 must be finite, got {phi12!r}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "phi12", _reduce_phase(phi12))
 
     def coefficients(self) -> tuple[float, complex]:
         """Unit superposition coefficients (c1 real >= 0, c2 complex)."""

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 
 from cohres import (
     AmplitudeTable,
+    AngleGrid,
     BackgroundChannel,
     BackgroundSpec,
     BackgroundState,
@@ -16,6 +18,7 @@ from cohres import (
     ResonanceSpec,
     ScenarioConfig,
     XsecMatrix,
+    breit_wigner_factor,
     gauss_legendre_grid,
 )
 
@@ -129,6 +132,48 @@ def random_scenario(
     res = ResonanceSpec(eps, gamma, (_coupling(rng), _coupling(rng)), tuple(exits))
     bg = BackgroundSpec(reference_energy=eps, channels=tuple(bg_channels))
     return ScenarioConfig(res, bg, mix=mix, grid_order=grid_order, initial_pair=INITIAL)
+
+
+def direct_amplitudes(
+    res: ResonanceSpec, bg: BackgroundSpec, grid: AngleGrid, energy: float, mix: float
+) -> list[np.ndarray]:
+    """Each channel's amplitudes at ``energy`` by direct evaluation: the basis path's reference."""
+    x = np.cos(grid.nodes)
+    bw = breit_wigner_factor(energy, res)
+    g1, g2 = res.entrance
+    out = []
+    for res_ch, bg_ch in zip(res.exits, bg.channels):
+        n_states = len(res_ch.states)
+        amps = np.zeros((n_states, len(grid), 2), dtype=complex)
+        for n, (res_st, bg_st) in enumerate(zip(res_ch.states, bg_ch.states)):
+            pole = mix * res_st.coupling * bw * legval(x, list(res_st.shape))
+            amps[n, :, 0] = pole * g1
+            amps[n, :, 1] = pole * g2
+            direct = (
+                (1.0 - mix)
+                * (bg_st.amplitude + bg_st.slope * (energy - bg.reference_energy))
+                * legval(x, list(bg_st.shape))
+            )
+            amps[n, :, 0] += direct * bg_st.column_weights[0]
+            amps[n, :, 1] += direct * bg_st.column_weights[1]
+        out.append(amps)
+    return out
+
+
+def direct_table(cfg: ScenarioConfig, energy: float) -> AmplitudeTable:
+    """The scenario's table at ``energy`` from ``direct_amplitudes``, the tests' synthesis oracle.
+
+    It evaluates each term at ``energy`` instead of combining the terms of
+    ``synthesis_basis``, so comparing a synthesized table or a scan row
+    against it checks the library's one synthesis formula independently.
+    """
+    grid = cfg.grid()
+    amplitudes = direct_amplitudes(cfg.resonance, cfg.background, grid, energy, cfg.mix)
+    blocks = tuple(
+        ChannelBlock(ch.arrangement, tuple(s.state for s in ch.states), a)
+        for ch, a in zip(cfg.resonance.exits, amplitudes)
+    )
+    return AmplitudeTable(energy, cfg.initial_pair, grid, blocks)
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from cohres import (
     width_from_lifetime,
 )
 from cohres.resonance import synthesis_basis
-from conftest import INITIAL, random_pure_resonance, random_scenario
+from conftest import INITIAL, direct_table, random_pure_resonance, random_scenario
 
 
 def simple_specs(mix_shapes=False):
@@ -217,7 +217,7 @@ class TestSynthesizeTable:
         res, bg, grid = cfg.resonance, cfg.background, cfg.grid()
         basis = synthesis_basis(res, bg, grid, mix)
         for e in [res.epsilon_r + d for d in (-0.05, -0.001, 0.0, 0.002, 0.04)]:
-            want = synthesize_table(res, bg, grid, e, INITIAL, mix)
+            want = direct_table(cfg, e)
             got = synthesize_table(res, bg, grid, e, INITIAL, mix, basis=basis)
             assert (got.energy, got.initial_pair, got.grid) == (e, INITIAL, grid)
             assert got.arrangements() == want.arrangements()
@@ -226,6 +226,48 @@ class TestSynthesizeTable:
                 assert g.amplitudes.shape == w.amplitudes.shape
                 scale = np.max(np.abs(w.amplitudes))
                 assert np.max(np.abs(g.amplitudes - w.amplitudes)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("mix", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 5, 6])
+    def test_one_formula_with_or_without_a_basis(self, mix, n_states):
+        rng = np.random.default_rng((20261019, n_states))
+        cfg = random_scenario(rng, mix, n_states)
+        res, bg, grid = cfg.resonance, cfg.background, cfg.grid()
+        basis = synthesis_basis(res, bg, grid, mix)
+        gamma = res.gamma_width
+        offsets = [-0.05, -3 * gamma, -gamma / 2, 0.0, 1e-9, gamma / 3, 2 * gamma, 0.04]
+        for e in [res.epsilon_r + d for d in offsets]:
+            alone = synthesize_table(res, bg, grid, e, INITIAL, mix)
+            combined = synthesize_table(res, bg, grid, e, INITIAL, mix, basis=basis)
+            for a, c in zip(alone.channels, combined.channels, strict=True):
+                assert a.amplitudes.tobytes() == c.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("mix", [True, "0.5", None], ids=["bool", "str", "none"])
+    def test_mix_takes_only_a_real_number(self, mix):
+        res, bg = simple_specs()
+        grid = gauss_legendre_grid(4)
+        basis = synthesis_basis(res, bg, grid, 0.5)
+        calls = [
+            lambda: synthesize_table(res, bg, grid, 0.3, INITIAL, mix),
+            lambda: synthesize_table(res, bg, grid, 0.3, INITIAL, mix, basis=basis),
+            lambda: synthesis_basis(res, bg, grid, mix),
+        ]
+        for call in calls:
+            with pytest.raises(CohresError) as err:
+                call()
+            assert str(err.value) == f"mix must be a real number, got {mix!r}"
+
+    def test_mix_as_a_numpy_float_is_the_same_table(self):
+        res, bg = simple_specs()
+        grid = gauss_legendre_grid(4)
+        want = synthesize_table(res, bg, grid, 0.31, INITIAL, 0.5)
+        got = synthesize_table(res, bg, grid, 0.31, INITIAL, np.float32(0.5))
+        for g, w in zip(got.channels, want.channels, strict=True):
+            assert g.amplitudes.tobytes() == w.amplitudes.tobytes()
+        want_basis = synthesis_basis(res, bg, grid, 0.5)
+        got_basis = synthesis_basis(res, bg, grid, np.float64(0.5))
+        for g, w in zip(got_basis, want_basis, strict=True):
+            assert g.tobytes() == w.tobytes()
 
     def test_basis_of_other_specs_rejected(self):
         res, bg = simple_specs()

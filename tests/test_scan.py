@@ -29,7 +29,7 @@ from cohres import (
 )
 from cohres.resonance import synthesis_basis
 from cohres.scan import _scan_row, scan_csv_header
-from conftest import FHD_SCENARIO, INITIAL, random_scenario
+from conftest import FHD_SCENARIO, INITIAL, direct_table, random_scenario
 
 PAIR = ("D+HF", "H+DF")
 ENERGIES = [0.25 + 0.005 * i for i in range(13)]
@@ -200,11 +200,11 @@ EPS = sys.float_info.epsilon
 
 
 def per_table_row(cfg, energy, pair=PAIR):
-    """The reference: table_at + cross_section_matrix + the scalar solvers.
+    """The reference: the directly evaluated table + cross_section_matrix + the scalar solvers.
 
     Returns the row and its matrices.
     """
-    table = cfg.table_at(energy)
+    table = direct_table(cfg, energy)
     matrices = {ch: cross_section_matrix(table, ch) for ch in cfg.product_channels()}
     return _scan_row(energy, matrices, pair), matrices
 

@@ -61,6 +61,18 @@ class TestScenarioRules:
             replace(cfg, masses_amu={1: 2.0})
         assert type(next(iter(replace(cfg, masses_amu={np.str_("F"): 19}).masses_amu))) is str
 
+    def test_masses_are_read_only(self, tmp_path, no_grid):
+        cfg = read_scenario(FHD_SCENARIO)
+        with pytest.raises(TypeError):
+            cfg.masses_amu["F"] = True
+        masses = dict(cfg.masses_amu)
+        assert cfg.masses_amu == masses and replace(cfg) == cfg
+        assert replace(cfg, masses_amu=masses) == cfg
+        path = tmp_path / "s.json"
+        write_scenario(cfg, path)
+        assert path.read_bytes() == FHD_SCENARIO.read_bytes()
+        assert read_scenario(path) == cfg
+
     def test_numpy_scalars_write_a_file_that_reads_back(self, tmp_path, no_grid):
         cfg = read_scenario(FHD_SCENARIO)
         cfg = replace(cfg, grid_order=np.int64(64), energy_offset=np.float32(0.5), mix=1)

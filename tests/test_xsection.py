@@ -351,6 +351,21 @@ class TestControlParams:
         with pytest.raises(ValueError):
             ControlParams(-0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "value", [True, "0.5", None, 0.5j], ids=["bool", "str", "none", "complex"]
+    )
+    @pytest.mark.parametrize("name", ["s", "phi12"])
+    def test_field_takes_only_a_real_number(self, name, value):
+        with pytest.raises(CohresError) as err:
+            ControlParams(**{"s": 0.5, "phi12": 0.0, name: value})
+        assert str(err.value) == f"{name} must be a real number, got {value!r}"
+
+    def test_fields_are_plain_floats(self):
+        p = ControlParams(np.float32(0.5), np.int64(1))
+        assert (type(p.s), type(p.phi12)) == (float, float)
+        assert (p.s, p.phi12) == (0.5, 1.0)
+        assert ControlParams(1, 0) == ControlParams(1.0, 0.0)
+
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase(self, phi):
         with pytest.raises(CohresError) as err:
