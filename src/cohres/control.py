@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import CohresError, ZeroDenominatorError
-from .xsection import ControlParams, XsecMatrix, controlled_cross_section, quadratic_form
+from .xsection import ControlParams, XsecMatrix, _form_terms, controlled_cross_section
 
 __all__ = [
     "ControlRange",
@@ -257,9 +257,16 @@ def lattice_extrema(
 
     The lattice is walked in blocks of whole s rows, about
     ``_BLOCK_POINTS`` points each, so memory is O(block * n_phi) while
-    time is O(n_s * n_phi).  Each block keeps its first extremum, and a
-    later block replaces the running extremum only if strictly lower
-    (higher), so ties still go to the first (s, phi) in row order.
+    time is O(n_s * n_phi).  ``quadratic_form``'s s-only and phi-only
+    factors are formed once per objective per call, and each block
+    combines them in place (multiply, add, clip: the form's own operation
+    order, so the same bits) in one buffer per objective, allocated once
+    per call.  A ratio block divides in place when no point is skipped;
+    only a block with a skipped point or a NaN quotient (inf/inf, where
+    the forms overflow) takes the masked path that ignores those points.
+    Each block keeps its first extremum, and a later block replaces the
+    running extremum only if strictly lower (higher), so ties still go to
+    the first (s, phi) in row order.
 
     This is an independent check on the closed-form solvers: it never
     solves anything, it just evaluates.
@@ -271,24 +278,38 @@ def lattice_extrema(
         raise ZeroDenominatorError("denominator matrix is identically zero")
     s = np.linspace(0.0, 1.0, n_s)
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-    phi_row = phi[None, :]
-    rows = max(1, _BLOCK_POINTS // n_phi)
+    rows = min(n_s, max(1, _BLOCK_POINTS // n_phi))
+    # per objective: its s-only and phi-only factors, and its block buffer
+    num_eval = _form_terms(num, s, phi), np.empty((rows, n_phi))
+    den_eval = None if den is None else (_form_terms(den, s, phi), np.empty((rows, n_phi)))
+
+    def evaluate(terms, buf, i0, i1):
+        base, amp, cos = terms
+        out = buf[: i1 - i0]
+        np.multiply(amp[i0:i1, None], cos, out=out)
+        np.add(base[i0:i1, None], out, out=out)
+        return np.clip(out, 0.0, None, out=out)
+
     lo = hi = None  # (value, flat lattice index) of the running extrema
     skipped = 0
     for i0 in range(0, n_s, rows):
-        s_col = s[i0 : i0 + rows, None]
-        values = np.clip(quadratic_form(num, s_col, phi_row), 0.0, None)
-        if den is None:
-            i_min = int(np.argmin(values))
-            i_max = int(np.argmax(values))
-        else:
-            d = np.clip(quadratic_form(den, s_col, phi_row), 0.0, None)
-            ok = d >= DENOM_FLOOR
-            n_ok = int(np.count_nonzero(ok))
-            skipped += ok.size - n_ok
-            if n_ok == 0:
-                continue  # nanargmin raises on an all-nan block
-            values = np.where(ok, values / np.where(ok, d, 1.0), np.nan)
+        i1 = min(i0 + rows, n_s)
+        values = evaluate(*num_eval, i0, i1)
+        if den_eval is not None:
+            d = evaluate(*den_eval, i0, i1)
+            if d.min() >= DENOM_FLOOR:  # no point skipped (a NaN fails this too)
+                np.divide(values, d, out=values)
+            else:
+                ok = d >= DENOM_FLOOR
+                n_ok = int(np.count_nonzero(ok))
+                skipped += ok.size - n_ok
+                if n_ok == 0:
+                    continue  # nanargmin raises on an all-nan block
+                values = np.where(ok, values / np.where(ok, d, 1.0), np.nan)
+        i_min = int(np.argmin(values))
+        i_max = int(np.argmax(values))
+        if den_eval is not None and math.isnan(values.flat[i_min]):
+            # argmin and argmax stop at the first NaN: skip the masked points
             i_min = int(np.nanargmin(values))
             i_max = int(np.nanargmax(values))
         if lo is None or values.flat[i_min] < lo[0]:

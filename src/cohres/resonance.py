@@ -268,7 +268,8 @@ def synthesize_table(
     a purely pole-mediated (factorized) table, ``mix`` = 0 a purely direct
     one.  Resonance and background must cover identical channel and state
     lists (SpecMismatchError otherwise), and ``mix`` must be a real number
-    in [0, 1].
+    in [0, 1].  ``energy`` is taken as a plain float before any arithmetic;
+    a bool or a complex energy raises the table's TableValidationError.
 
     Every table is combined by one formula, bw(E)*P + D + (E - E_ref)*S,
     from the energy-independent terms of ``synthesis_basis``.  A caller
@@ -287,6 +288,10 @@ def synthesize_table(
                 f"basis shapes {[np.shape(b) for b in basis]} do not match the specs "
                 f"and grid, expected {shapes}"
             )
+    try:
+        energy = _real(energy, "energy")  # NumPy keeps float32 - float in single precision
+    except CohresError:
+        pass  # the table lists it with its other violations
     bw = breit_wigner_factor(energy, res)
     t = energy - bg.reference_energy
     blocks = tuple(

@@ -188,8 +188,20 @@ def quadratic_form(
     point near the form's null direction has a large relative error and
     may come out slightly negative; callers clamp.
     """
-    interf = 2.0 * np.sqrt(s * (1.0 - s)) * abs(m.sigma12)
-    return (1.0 - s) * m.sigma11 + s * m.sigma22 + interf * np.cos(cmath.phase(m.sigma12) + phi)
+    base, amp, cos = _form_terms(m, s, phi)
+    return base + amp * cos
+
+
+def _form_terms(m: XsecMatrix, s: float | np.ndarray, phi: float | np.ndarray) -> tuple:
+    """``quadratic_form``'s three factors, the form being base + amp * cos.
+
+    base = (1-s)*sigma11 + s*sigma22 and amp = 2*sqrt(s(1-s))*|sigma12|
+    depend on ``s`` only, cos = cos(Arg(sigma12) + phi12) on ``phi`` only,
+    so a lattice forms each once and combines them per point.
+    """
+    base = (1.0 - s) * m.sigma11 + s * m.sigma22
+    amp = 2.0 * np.sqrt(s * (1.0 - s)) * abs(m.sigma12)
+    return base, amp, np.cos(cmath.phase(m.sigma12) + phi)
 
 
 def controlled_cross_section(m: XsecMatrix, p: ControlParams) -> float:

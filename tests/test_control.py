@@ -291,7 +291,7 @@ class TestLatticeExtrema:
         def no_evaluation(*args):
             raise AssertionError("the lattice was evaluated")
 
-        monkeypatch.setattr(control, "quadratic_form", no_evaluation)
+        monkeypatch.setattr(control, "_form_terms", no_evaluation)
         with pytest.raises(ZeroDenominatorError, match="identically zero"):
             lattice_extrema(sched(1.0, 1.0, 0.0), sched(0.0, 0.0, 0.0), 11, 7)
 
@@ -350,7 +350,15 @@ def _parity_cases():
     cases["skipped-last-row"] = (sched(1.0, 1.0, 0.0, "A"), sched(1.0, 0.0, 0.0, "B"), 11, 7)
     # rank one: the denominator vanishes at (s, phi) = (0.5, pi), lattice point (5, 4)
     cases["skipped-inner-point"] = (sched(1.0, 2.0, 0.5j, "A"), sched(1.0, 1.0, 1.0, "B"), 11, 8)
+    # entries near DBL_MAX: both forms overflow to +inf where cos is large,
+    # so some quotients are inf/inf = nan, while no denominator is skipped
+    overflow = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    cases["overflow-nan-quotient"] = pytest.param(*OVERFLOW_PAIR, 11, 8, marks=overflow)
+    cases["overflow-single"] = pytest.param(OVERFLOW_PAIR[0], None, 11, 8, marks=overflow)
     return cases
+
+
+OVERFLOW_PAIR = (sched(1.5e308, 1.5e308, 0.75e308, "A"), sched(1.5e308, 1.5e308, 0.75e308j, "B"))
 
 
 PARITY_CASES = _parity_cases()
@@ -380,6 +388,17 @@ class TestRowBlockParity:
         block_rows(121, 97)
         lat = lattice_extrema(sched(2.0, 2.0, 0.0, "A"), den, 121, 97)
         assert lat.params_at_min == lat.params_at_max == ControlParams(0.0, 0.0)
+
+    def test_overflow_pair_has_nan_quotients_and_no_skipped_point(self):
+        # the premise of the overflow parity cases: at every block size
+        # some block has a NaN quotient, and no block has a skipped point
+        num, den = OVERFLOW_PAIR
+        s, phi = np.linspace(0.0, 1.0, 11)[:, None], np.linspace(0.0, TWO_PI, 8, endpoint=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            n, d = (np.clip(quadratic_form(m, s, phi), 0.0, None) for m in (num, den))
+            q = n / d
+        assert np.all(d >= DENOM_FLOOR)
+        assert np.isposinf(n).any() and np.isnan(q).any() and not np.isnan(q).all(axis=1).any()
 
     def test_vanishing_denominator_raises(self, block_rows):
         block_rows(11, 7)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from cohres import (
     NonPositiveError,
     ResonanceSpec,
     SpecMismatchError,
+    TableValidationError,
     UnknownChannelError,
     breit_wigner_factor,
     controlled_ratio,
@@ -31,10 +33,11 @@ from cohres import (
     resonance_branching_ratio,
     schwartz_ratio,
     synthesize_table,
+    read_scenario,
     width_from_lifetime,
 )
 from cohres.resonance import synthesis_basis
-from conftest import INITIAL, direct_table, random_pure_resonance, random_scenario
+from conftest import FHD_SCENARIO, INITIAL, direct_table, random_pure_resonance, random_scenario
 
 
 def simple_specs(mix_shapes=False):
@@ -268,6 +271,23 @@ class TestSynthesizeTable:
         got_basis = synthesis_basis(res, bg, grid, np.float64(0.5))
         for g, w in zip(got_basis, want_basis, strict=True):
             assert g.tobytes() == w.tobytes()
+
+    def test_numpy_float32_energy_is_the_same_table(self):
+        # the amplitudes belong to the stored energy, float(energy), not to
+        # a single-precision E - eps_r
+        cfg = read_scenario(FHD_SCENARIO)
+        e = np.float32(0.256)
+        got, want = cfg.table_at(e), cfg.table_at(float(e))
+        assert type(got.energy) is float and got.energy == want.energy
+        for g, w in zip(got.channels, want.channels, strict=True):
+            assert g.amplitudes.tobytes() == w.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("energy", [True, 0.3 + 0j], ids=["bool", "complex"])
+    def test_non_real_energy_is_the_tables_violation(self, energy):
+        res, bg = simple_specs()
+        message = re.escape(f"energy: must be a real number, got {energy!r}")
+        with pytest.raises(TableValidationError, match=message):
+            synthesize_table(res, bg, gauss_legendre_grid(4), energy, INITIAL, 0.5)
 
     def test_basis_of_other_specs_rejected(self):
         res, bg = simple_specs()
