@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,8 @@ __all__ = [
 SINGULAR_TOL = 1e-14  # det(B) <= tol * trace(B)^2 marks a singular denominator
 DEGENERATE_TOL = 1e-11  # elementwise |A - kappa*B| below this (relative) is degenerate
 DENOM_FLOOR = 1e-300  # lattice ratio points below this denominator are skipped
+_SAFE_EXP = 250  # a larger diagonal in [2**-250, 2**250) is solved unscaled (_scaled)
+_SAFE_LOW, _SAFE_HIGH = math.ldexp(1.0, -_SAFE_EXP), math.ldexp(1.0, _SAFE_EXP)
 _BLOCK_POINTS = 1 << 15  # lattice points per row block: ~256 KB per float64 array
 
 
@@ -86,17 +88,56 @@ def _params_from_vector(c1: complex, c2: complex) -> ControlParams:
     return ControlParams(s=s, phi12=phi)
 
 
-def _eigenvalues(m: XsecMatrix) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of the interference matrix.
+def _scaled(m: XsecMatrix) -> tuple[XsecMatrix, int]:
+    """``m`` with its entries times 2**k, and the even k.
+
+    The solvers form products of up to four entries (the pencil's
+    discriminant), which stay finite and normal at the scale of a larger
+    diagonal within [2**-``_SAFE_EXP``, 2**``_SAFE_EXP``): such a matrix is
+    returned as it is, k = 0.  Any other nonzero matrix is scaled so that
+    its larger diagonal lies in [2**(``_SAFE_EXP`` - 2), 2**``_SAFE_EXP``):
+    the least shrinking that reaches the range, and the most growth that
+    stays in it, leave its smaller entries the most room above the
+    subnormals.  Scaling by a power of two is exact, so unless it makes an
+    entry subnormal, every operation of the solve is the unscaled one's
+    times a power of two, as if no product had overflowed or underflowed.
+    Callers undo it with ``_unscale``.
+    """
+    top = max(m.sigma11, m.sigma22)
+    if _SAFE_LOW <= top < _SAFE_HIGH or top == 0.0:
+        return m, 0
+    k = (_SAFE_EXP - math.frexp(top)[1]) & ~1
+    s11, s22 = math.ldexp(m.sigma11, k), math.ldexp(m.sigma22, k)
+    s12 = complex(math.ldexp(m.sigma12.real, k), math.ldexp(m.sigma12.imag, k))
+    return replace(m, sigma11=s11, sigma22=s22, sigma12=s12), k
+
+
+def _unscale(x: float, k: int) -> float:
+    """x * 2**-k, rounded once; +-inf where that overflows, as float division gives it."""
+    try:
+        return math.ldexp(x, -k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _scaled_eigenvalues(m: XsecMatrix) -> tuple[XsecMatrix, float, float, tuple[float, float]]:
+    """``_scaled(m)``'s matrix, its (lambda_min, lambda_max), and ``m``'s own.
 
     lambda_-+ = (T -+ sqrt(T^2 - 4D))/2 with T the trace and D the
     determinant.  lambda_min is computed as D / lambda_max, which avoids
     the cancellation in (T - sqrt(...))/2 and preserves the sum and
     product identities to machine precision.
     """
-    disc_sq = (m.sigma11 - m.sigma22) ** 2 + 4.0 * abs(m.sigma12) ** 2
-    lam_max = 0.5 * (m.trace + math.sqrt(disc_sq))
-    return (m.det / lam_max if lam_max > 0.0 else 0.0), lam_max
+    s, k = _scaled(m)
+    disc_sq = (s.sigma11 - s.sigma22) ** 2 + 4.0 * abs(s.sigma12) ** 2
+    lam_max = 0.5 * (s.trace + math.sqrt(disc_sq))
+    lam_min = s.det / lam_max if lam_max > 0.0 else 0.0
+    return s, lam_min, lam_max, (_unscale(lam_min, k), _unscale(lam_max, k))
+
+
+def _eigenvalues(m: XsecMatrix) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the interference matrix (``_scaled_eigenvalues``)."""
+    return _scaled_eigenvalues(m)[3]
 
 
 def cross_section_extrema(m: XsecMatrix) -> ControlRange:
@@ -104,15 +145,17 @@ def cross_section_extrema(m: XsecMatrix) -> ControlRange:
 
     The bounds are the eigenvalues of the interference matrix
     (``_eigenvalues``); the achieving (s, phi12) span the null space of
-    M - lambda*I.
+    M - lambda*I.  A matrix of extreme scale is solved scaled by an exact
+    power of two (``_scaled``), so its range is the scaled one's times the
+    inverse power.
     """
-    lam_min, lam_max = _eigenvalues(m)
+    m, lam_min, lam_max, (lo, hi) = _scaled_eigenvalues(m)
 
     if m.sigma12 == 0:
         if m.sigma11 == m.sigma22:
             return ControlRange(
-                min_value=lam_min,
-                max_value=lam_max,
+                min_value=lo,
+                max_value=hi,
                 params_at_min=ControlParams(0.0, 0.0),
                 params_at_max=ControlParams(1.0, 0.0),
                 degenerate=True,
@@ -121,11 +164,11 @@ def cross_section_extrema(m: XsecMatrix) -> ControlRange:
             p_min, p_max = ControlParams(0.0, 0.0), ControlParams(1.0, 0.0)
         else:
             p_min, p_max = ControlParams(1.0, 0.0), ControlParams(0.0, 0.0)
-        return ControlRange(lam_min, lam_max, p_min, p_max)
+        return ControlRange(lo, hi, p_min, p_max)
 
     return ControlRange(
-        min_value=lam_min,
-        max_value=lam_max,
+        min_value=lo,
+        max_value=hi,
         params_at_min=_null_params(m.sigma11 - lam_min, m.sigma22 - lam_min, m.sigma12),
         params_at_max=_null_params(m.sigma11 - lam_max, m.sigma22 - lam_max, m.sigma12),
     )
@@ -179,8 +222,14 @@ def ratio_extrema(
       direction.  The finite minimum is det(A) / tr(adj(B) A).
     * Otherwise both generalized eigenvalues are finite and real.
 
-    Raises ZeroDenominatorError when trace(B) == 0.
+    A matrix of extreme scale is solved scaled by an exact power of two
+    (``_scaled``); the ratio's values are unscaled, and its parameters do
+    not depend on the scale.  Raises ZeroDenominatorError when
+    trace(B) == 0.
     """
+    num, ka = _scaled(num)
+    den, kb = _scaled(den)
+    k = ka - kb  # a ratio of the scaled matrices is the ratio times 2**k
     a11, a22, a12 = num.sigma11, num.sigma22, num.sigma12
     b11, b22, b12 = den.sigma11, den.sigma22, den.sigma12
     tr_b = den.trace
@@ -195,9 +244,10 @@ def ratio_extrema(
         abs(a12 - kappa * b12),
     )
     if dev <= DEGENERATE_TOL * scale:
+        value = _unscale(kappa, k)
         return ControlRange(
-            min_value=kappa,
-            max_value=kappa,
+            min_value=value,
+            max_value=value,
             params_at_min=ControlParams(0.0, 0.0),
             params_at_max=ControlParams(1.0, 0.0),
             degenerate=True,
@@ -210,10 +260,11 @@ def ratio_extrema(
 
     if det_b <= tol_singular * tr_b**2:
         lam_min = det_a / mid
+        p_min = _null_params(a11 - lam_min * b11, a22 - lam_min * b22, a12 - lam_min * b12)
         return ControlRange(
-            min_value=lam_min,
+            min_value=_unscale(lam_min, k),
             max_value=math.inf,
-            params_at_min=_pencil_null_params(num, den, lam_min),
+            params_at_min=p_min,
             params_at_max=_null_params(b11, b22, b12),
             unbounded_max=True,
         )
@@ -223,19 +274,10 @@ def ratio_extrema(
     lam_max = (mid + disc) / (2.0 * det_b)
     lam_min = det_a / (det_b * lam_max) if lam_max != 0.0 else (mid - disc) / (2.0 * det_b)
     return ControlRange(
-        min_value=lam_min,
-        max_value=lam_max,
-        params_at_min=_pencil_null_params(num, den, lam_min),
-        params_at_max=_pencil_null_params(num, den, lam_max),
-    )
-
-
-def _pencil_null_params(num: XsecMatrix, den: XsecMatrix, lam: float) -> ControlParams:
-    """Parameters of the generalized eigenvector for det(A - lam*B) = 0."""
-    return _null_params(
-        num.sigma11 - lam * den.sigma11,
-        num.sigma22 - lam * den.sigma22,
-        num.sigma12 - lam * den.sigma12,
+        min_value=_unscale(lam_min, k),
+        max_value=_unscale(lam_max, k),
+        params_at_min=_null_params(a11 - lam_min * b11, a22 - lam_min * b22, a12 - lam_min * b12),
+        params_at_max=_null_params(a11 - lam_max * b11, a22 - lam_max * b22, a12 - lam_max * b12),
     )
 
 

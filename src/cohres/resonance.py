@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +116,11 @@ class ResonanceSpec:
         if not any(s.coupling != 0 for ch in self.exits for s in ch.states):
             raise CohresError("at least one exit coupling must be nonzero")
 
+    @cached_property
+    def _coverage(self) -> tuple[tuple[str, tuple[ChannelState, ...]], ...]:
+        """``(arrangement, states)`` of each exit channel, in order; built once per spec."""
+        return _coverage(self.exits)
+
     @property
     def complex_energy(self) -> complex:
         return self.epsilon_r - 0.5j * self.gamma_width
@@ -183,6 +189,21 @@ class BackgroundSpec:
         _require_finite(reference_energy=self.reference_energy)
         object.__setattr__(self, "channels", tuple(self.channels))
 
+    @cached_property
+    def _coverage(self) -> tuple[tuple[str, tuple[ChannelState, ...]], ...]:
+        """``(arrangement, states)`` of each channel, in order; built once per spec."""
+        return _coverage(self.channels)
+
+
+def _coverage(channels) -> tuple[tuple[str, tuple[ChannelState, ...]], ...]:
+    """The ``(arrangement, states)`` pairs that resonance and background must share.
+
+    A spec keeps its own as ``_coverage`` (a ``cached_property``: the
+    specs are frozen, and the value lives outside the dataclass fields, so
+    it never enters ``repr``, ``==`` or ``dataclasses.replace``).
+    """
+    return tuple((ch.arrangement, tuple(s.state for s in ch.states)) for ch in channels)
+
 
 def breit_wigner_factor(energy: float, spec: ResonanceSpec) -> complex:
     """Resonance denominator 1 / (E - eps_r + i*Gamma/2), in 1/eV.
@@ -236,11 +257,9 @@ def _check_specs(res: ResonanceSpec, bg: BackgroundSpec, mix: float) -> float:
     mix = _real(mix, "mix")
     if not 0.0 <= mix <= 1.0:
         raise CohresError(f"mix must lie in [0, 1], got {mix!r}")
-    res_list = [(ch.arrangement, tuple(s.state for s in ch.states)) for ch in res.exits]
-    bg_list = [(ch.arrangement, tuple(s.state for s in ch.states)) for ch in bg.channels]
-    if res_list != bg_list:
+    if res._coverage != bg._coverage:
         raise SpecMismatchError(
-            f"resonance covers {res_list}, background covers {bg_list} "
+            f"resonance covers {list(res._coverage)}, background covers {list(bg._coverage)} "
             "(same channels, same states, same order required)"
         )
     return mix
@@ -282,7 +301,7 @@ def synthesize_table(
         basis = synthesis_basis(res, bg, grid, mix)
     else:
         _check_specs(res, bg, mix)
-        shapes = [(3, len(ch.states), len(grid), 2) for ch in res.exits]
+        shapes = [(3, len(states), len(grid), 2) for _, states in res._coverage]
         if [np.shape(b) for b in basis] != shapes:
             raise CohresError(
                 f"basis shapes {[np.shape(b) for b in basis]} do not match the specs "
@@ -295,8 +314,8 @@ def synthesize_table(
     bw = breit_wigner_factor(energy, res)
     t = energy - bg.reference_energy
     blocks = tuple(
-        ChannelBlock(ch.arrangement, tuple(s.state for s in ch.states), bw * b[0] + b[1] + t * b[2])
-        for ch, b in zip(res.exits, basis)
+        ChannelBlock(label, states, bw * b[0] + b[1] + t * b[2])
+        for (label, states), b in zip(res._coverage, basis)
     )
     return AmplitudeTable(energy, tuple(initial_pair), grid, blocks)
 

@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .control import (
-    ControlRange,
-    _eigenvalues,
-    _quotient,
-    noncoherent_limits,
-    ratio_extrema,
-)
+from .control import ControlRange, _eigenvalues, _quotient, ratio_extrema
 from .errors import CohresError, DegenerateChannelError, UnknownChannelError
 from .resonance import synthesis_basis, synthesize_table
 from .scenario import ScenarioConfig
@@ -97,40 +92,110 @@ def _safe_schwartz(m: XsecMatrix) -> float:
         return math.nan
 
 
-def _scan_row(energy: float, matrices: dict[str, XsecMatrix], pair: tuple[str, str]) -> ScanRow:
-    """One energy's row.
+class _ScanColumns(Sequence[ScanRow]):
+    """A scan kept by column: a read-only sequence of ``ScanRow``s built on first access.
 
-    A channel's ``sigma_min``/``sigma_max`` are the eigenvalues of its
-    matrix, the bounds ``cross_section_extrema`` returns; the control
-    parameters that reach them are not computed, since no column holds them.
+    Per energy it holds each channel's five ``_CHANNEL_COLUMNS`` values as
+    one tuple, the pair's ``ControlRange`` and its two non-coherent ratios.
+    ``write_scan_csv`` writes from these columns, so a scan that is only
+    written builds no row object.  A row is built when it is first read and
+    kept, so reading it again returns the same object, as a list would.
+    Indexing, negative indexing, ``len``, iteration and ``==`` (against
+    another scan or a list of rows) behave as on a list; a slice is a list.
     """
-    channels = []
-    for ch, m in matrices.items():
-        lam_min, lam_max = _eigenvalues(m)
-        s11, s22 = noncoherent_limits(m)
-        channels.append(
-            ChannelScan(
-                channel=ch,
-                sigma_min=lam_min,
-                sigma_max=lam_max,
-                sigma_11=s11,
-                sigma_22=s22,
-                schwartz=_safe_schwartz(m),
+
+    def __init__(self, pair: tuple[str, str], labels: tuple[str, ...]):
+        self._pair = pair
+        self._channels = {label: [] for label in labels}  # every channel, in row order
+        self._energies = []
+        self._extrema = []
+        self._r_nc = []  # (r_nc_min, r_nc_max)
+        self._rows = {}  # index -> the ScanRow built on its first access
+
+    def _append(self, energy: float, matrices: dict[str, XsecMatrix]) -> None:
+        """Add one energy's row, from every channel's matrix, in ``labels`` order.
+
+        A channel's ``sigma_min``/``sigma_max`` are the eigenvalues of its
+        matrix, the bounds ``cross_section_extrema`` returns; the control
+        parameters that reach them are not computed, since no column holds them.
+        """
+        values = []
+        for label in self._channels:
+            m = matrices[label]
+            values.append((*_eigenvalues(m), m.sigma11, m.sigma22, _safe_schwartz(m)))
+        num, den = matrices[self._pair[0]], matrices[self._pair[1]]
+        extrema = ratio_extrema(num, den)
+        lo, hi = _quotient(num.sigma11, den.sigma11), _quotient(num.sigma22, den.sigma22)
+        if math.isnan(lo) or math.isnan(hi):
+            lo = hi = math.nan  # min and max would keep or drop one nan by position
+        for column, v in zip(self._channels.values(), values):
+            column.append(v)
+        self._energies.append(energy)
+        self._extrema.append(extrema)
+        self._r_nc.append((min(lo, hi), max(lo, hi)))
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[ScanRow]) -> _ScanColumns:
+        """The pair channels' columns of plain rows, the pair taken from the first row."""
+        ratio = rows[0].ratio
+        pair = (ratio.numerator, ratio.denominator)
+        labels = tuple(dict.fromkeys(pair))  # a channel paired with itself has one column
+        cols = cls(pair, labels)
+        for row in rows:
+            for label in labels:
+                c = row.channel(label)
+                cols._channels[label].append(
+                    (c.sigma_min, c.sigma_max, c.sigma_11, c.sigma_22, c.schwartz)
+                )
+            cols._energies.append(row.energy)
+            cols._extrema.append(row.ratio.extrema)
+            cols._r_nc.append((row.ratio.r_nc_min, row.ratio.r_nc_max))
+        return cols
+
+    def __len__(self) -> int:
+        return len(self._energies)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self._energies)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("scan row index out of range")
+        i %= n
+        row = self._rows.get(i)
+        if row is None:
+            num, den = self._pair
+            row = self._rows[i] = ScanRow(
+                energy=self._energies[i],
+                channels=tuple(ChannelScan(label, *c[i]) for label, c in self._channels.items()),
+                ratio=RatioScan(num, den, self._extrema[i], *self._r_nc[i]),
             )
-        )
-    num, den = matrices[pair[0]], matrices[pair[1]]
-    rr = ratio_extrema(num, den)
-    nc = tuple(map(_quotient, noncoherent_limits(num), noncoherent_limits(den)))
-    if any(map(math.isnan, nc)):
-        nc = (math.nan, math.nan)  # min and max would keep or drop one nan by position
-    ratio = RatioScan(
-        numerator=pair[0],
-        denominator=pair[1],
-        extrema=rr,
-        r_nc_min=min(nc),
-        r_nc_max=max(nc),
-    )
-    return ScanRow(energy=energy, channels=tuple(channels), ratio=ratio)
+        return row
+
+    def __eq__(self, other):
+        if not isinstance(other, (_ScanColumns, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a is b or a == b for a, b in zip(self, other))
+
+    __hash__ = None  # compared by value, so unhashable, as a list
+
+    def _csv_lines(self):
+        """One CSV line per energy, each value written as repr(float(v)).
+
+        The last two values are ``RatioScan.coherent_factor`` and
+        ``noncoherent_factor``, formed here without building the row.
+        """
+        num, den = (self._channels[label] for label in self._pair)
+        for e, a, b, x, (nc_lo, nc_hi) in zip(self._energies, num, den, self._extrema, self._r_nc):
+            lo, hi, r_min, r_max = x.params_at_min, x.params_at_max, x.min_value, x.max_value
+            values = (
+                e, *a, *b,
+                r_min, lo.s, math.degrees(lo.phi12),
+                r_max, hi.s, math.degrees(hi.phi12),
+                nc_lo, nc_hi, _quotient(r_max, r_min), _quotient(nc_hi, nc_lo),
+            )
+            yield ",".join(map(repr, map(float, values))) + "\r\n"
 
 
 def _check_energies(energies: list[float]) -> None:
@@ -148,14 +213,16 @@ def energy_scan(
     cfg: ScenarioConfig,
     energies: Sequence[float],
     channel_pair: tuple[str, str],
-) -> list[ScanRow]:
+) -> Sequence[ScanRow]:
     """Scan the scenario over strictly increasing, finite total energies.
 
     The scenario's ``synthesis_basis`` is computed once; each energy's
     table is combined from it and integrated by ``cross_section_matrix``.
     A channel's ``sigma_min``/``sigma_max`` are the eigenvalues of its
     matrix, equal to ``cross_section_extrema``'s bounds; only the ratio
-    pair's extrema carry control parameters.
+    pair's extrema carry control parameters.  The rows come as a read-only
+    sequence that keeps the values by column and builds each ``ScanRow``
+    on its first access.
     Raises UnknownChannelError when a label of ``channel_pair`` is not a
     scenario channel.  A row whose table, matrices or solvers raise a
     CohresError or an ArithmeticError raises a CohresError that names the
@@ -171,16 +238,14 @@ def energy_scan(
     grid = cfg.grid()
     res, bg = cfg.resonance, cfg.background
     basis = synthesis_basis(res, bg, grid, cfg.mix)
-    pair = tuple(channel_pair)
-    rows = []
+    cols = _ScanColumns(tuple(channel_pair), known)
     for e in energies:
         try:
             table = synthesize_table(res, bg, grid, e, cfg.initial_pair, cfg.mix, basis=basis)
-            matrices = {ch: cross_section_matrix(table, ch) for ch in known}
-            rows.append(_scan_row(e, matrices, pair))
+            cols._append(e, {ch: cross_section_matrix(table, ch) for ch in known})
         except (CohresError, ArithmeticError) as exc:
             raise CohresError(f"at energy {e!r} eV: {exc}") from exc
-    return rows
+    return cols
 
 
 _CHANNEL_COLUMNS = ("sigma_min", "sigma_max", "sigma_11", "sigma_22", "schwartz")
@@ -189,16 +254,6 @@ _RATIO_COLUMNS = (
     "r_max", "s_at_rmax", "phi_at_rmax_deg",
     "r_nc_min", "r_nc_max", "R", "R_nc",
 )
-
-
-def _ratio_values(r: RatioScan) -> tuple[float, ...]:
-    """The values of ``_RATIO_COLUMNS``, in that order."""
-    lo, hi = r.extrema.params_at_min, r.extrema.params_at_max
-    return (
-        r.r_min, lo.s, math.degrees(lo.phi12),
-        r.r_max, hi.s, math.degrees(hi.phi12),
-        r.r_nc_min, r.r_nc_max, r.coherent_factor, r.noncoherent_factor,
-    )
 
 
 def scan_csv_header(pair: tuple[str, str]) -> list[str]:
@@ -213,18 +268,14 @@ def write_scan_csv(rows: Sequence[ScanRow], path: str | Path) -> None:
 
     Lines end in CRLF, as the ``csv`` module writes them.  The header goes
     through ``csv.writer``, which quotes a label as its rules require; a data
-    row is joined directly, since repr(float) never needs quoting.
+    row is joined directly, since repr(float) never needs quoting.  An
+    ``energy_scan`` result is written from its columns; any other sequence
+    of rows is first turned into columns of its pair's channels, the pair
+    taken from the first row.
     """
     if not rows:
         raise CohresError("nothing to write")
-    pair = (rows[0].ratio.numerator, rows[0].ratio.denominator)
+    cols = rows if isinstance(rows, _ScanColumns) else _ScanColumns._from_rows(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(scan_csv_header(pair))
-        for row in rows:
-            values = [row.energy]
-            for label in pair:
-                c = row.channel(label)
-                values += [getattr(c, name) for name in _CHANNEL_COLUMNS]
-            values += _ratio_values(row.ratio)
-            # tableio._fmt's repr(float(v)), without a Python call per value
-            fh.write(",".join(map(repr, map(float, values))) + "\r\n")
+        csv.writer(fh).writerow(scan_csv_header(cols._pair))
+        fh.writelines(cols._csv_lines())

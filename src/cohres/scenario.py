@@ -66,8 +66,8 @@ class ScenarioConfig:
         _check_specs(self.resonance, self.background, self.mix)
         object.__setattr__(self, "grid_order", _grid_order(self.grid_order, "grid_order"))
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
-        channels = [(ch.arrangement, [s.state for s in ch.states]) for ch in self.resonance.exits]
-        if violations := _pair_violations(self.initial_pair) + _channel_violations(channels):
+        coverage = self.resonance._coverage
+        if violations := _pair_violations(self.initial_pair) + _channel_violations(coverage):
             raise TableValidationError(violations)
 
     @cached_property

@@ -176,6 +176,14 @@ def direct_table(cfg: ScenarioConfig, energy: float) -> AmplitudeTable:
     return AmplitudeTable(energy, cfg.initial_pair, grid, blocks)
 
 
+def scaled_table(table: AmplitudeTable, factor: float) -> AmplitudeTable:
+    """``table`` with every amplitude multiplied by ``factor``."""
+    blocks = tuple(
+        ChannelBlock(b.arrangement, b.states, b.amplitudes * factor) for b in table.channels
+    )
+    return AmplitudeTable(table.energy, table.initial_pair, table.grid, blocks)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)

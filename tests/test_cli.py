@@ -21,7 +21,7 @@ from cohres import (
 )
 from cohres.cli import main
 from cohres.errors import CohresError
-from conftest import FHD_SCENARIO
+from conftest import FHD_SCENARIO, scaled_table
 
 # end-to-end regression, frozen from the committed scenario at the pole
 PEAK_R_MIN = 0.4023174476113552
@@ -70,6 +70,27 @@ class TestControlCommand:
         # frozen end-to-end values for the committed scenario
         assert rr.min_value == pytest.approx(PEAK_R_MIN, rel=1e-9)
         assert rr.max_value == pytest.approx(PEAK_R_MAX, rel=1e-9)
+
+    @pytest.mark.parametrize("factor", [1e-90, 1e100])
+    @pytest.mark.parametrize(
+        "tag, flags", [("sigma", ["--channel", "D+HF"]), ("r", ["--num", "D+HF", "--den", "H+DF"])]
+    )
+    def test_extreme_amplitude_scales(self, fhd_table, tmp_path, capsys, factor, tag, flags):
+        # the squares of these tables' matrix entries leave the doubles; the solvers scale first
+        path = tmp_path / "scaled.json"
+        write_table(scaled_table(read_table(fhd_table), factor), path)
+        assert main(["control", "--table", str(fhd_table), *flags]) == 0
+        full = capsys.readouterr().out
+        assert main(["control", "--table", str(path), *flags]) == 0
+        got = capsys.readouterr()
+        assert got.err == ""
+        unit = factor**2 if tag == "sigma" else 1.0
+        for end in ("min", "max"):
+            pattern = rf"^{tag}_{end} = (\S+) at s = (\S+), phi12_deg = (\S+)$"
+            want, have = parse_line(pattern, full), parse_line(pattern, got.out)
+            assert float(have.group(1)) == pytest.approx(float(want.group(1)) * unit, rel=1e-12)
+            for i in (2, 3):
+                assert float(have.group(i)) == pytest.approx(float(want.group(i)), rel=1e-9)
 
     def test_single_channel_mode(self, fhd_table, capsys):
         rc = main(["control", "--table", str(fhd_table), "--channel", "D+HF"])
@@ -485,6 +506,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == "cohres: error: boom\n"
 
     def test_scan_overflow_is_one_error_line(self, tmp_path):
+        # NumPy's Gram sums overflow at 1e155 eV, and the amplitudes' squares at 1e160 eV
+        out = tmp_path / "x.csv"
+        for energy in ("1e155", "1e160"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cohres.cli", "scan", "--config", str(FHD_SCENARIO),
+                 "--emin", energy, "--emax", energy, "--step", "1", "--pair", "D+HF,H+DF",
+                 "--out", str(out)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1
+            assert not out.exists()
+            assert proc.stdout == ""
+            assert proc.stderr.startswith(f"cohres: error: at energy {float(energy)!r} eV: ")
+            assert proc.stderr.count("\n") == 1
+
+    def test_scan_past_the_squares_range_is_solved(self, tmp_path):
+        # at 1e100 eV the matrix entries are near 1e200, whose squares overflow a double
         out = tmp_path / "x.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "cohres.cli", "scan", "--config", str(FHD_SCENARIO),
@@ -493,11 +532,10 @@ class TestExitCodes:
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 1
-        assert not out.exists()
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("cohres: error: at energy 1e+100 eV: ")
-        assert proc.stderr.count("\n") == 1
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"wrote {out} (1 rows)\n"
+        header, row = out.read_text().splitlines()
+        assert all(math.isfinite(float(v)) for v in row.split(","))
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "t.json"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,16 +15,18 @@ from cohres import (
     controlled_cross_section,
     controlled_ratio,
     cross_section_extrema,
+    cross_section_matrix,
     lattice_extrema,
     noncoherent_limits,
     ratio_extrema,
+    read_scenario,
     schwartz_ratio,
 )
 from cohres import control
 from cohres.constants import TWO_PI
 from cohres.control import DENOM_FLOOR, _quotient
 from cohres.xsection import quadratic_form
-from conftest import random_psd_matrix, ridged_psd_matrix
+from conftest import FHD_SCENARIO, random_psd_matrix, ridged_psd_matrix, scaled_table
 
 
 def phase_close(a: float, b: float, tol: float) -> bool:
@@ -193,6 +196,83 @@ class TestRatioExtrema:
         rr2 = ratio_extrema(rotate(num, "A"), rotate(den, "B"))
         assert rr2.min_value == pytest.approx(rr.min_value, rel=1e-10)
         assert rr2.max_value == pytest.approx(rr.max_value, rel=1e-10)
+
+
+def _times(m: XsecMatrix, k: int) -> tuple:
+    """``m``'s entries times 2**k, exactly."""
+    s12 = complex(math.ldexp(m.sigma12.real, k), math.ldexp(m.sigma12.imag, k))
+    return math.ldexp(m.sigma11, k), math.ldexp(m.sigma22, k), s12
+
+
+class TestScaleBeforeSolving:
+    """A matrix of extreme scale is solved scaled by an exact power of two."""
+
+    @pytest.fixture(scope="class")
+    def fhd(self):
+        return read_scenario(FHD_SCENARIO).table_at(0.255)
+
+    @pytest.mark.parametrize("k", [-300, 330])
+    def test_results_are_the_full_scale_ones_bit_for_bit(self, fhd, k):
+        # amplitudes times 2**k: entries near 1e-181 or 1e+198, whose squares leave the doubles
+        tiny_or_huge = scaled_table(fhd, 2.0**k)
+        full, mats = {}, {}
+        for ch in ("D+HF", "H+DF"):
+            full[ch], mats[ch] = cross_section_matrix(fhd, ch), cross_section_matrix(tiny_or_huge, ch)
+            m = mats[ch]
+            assert repr((m.sigma11, m.sigma22, m.sigma12)) == repr(_times(full[ch], 2 * k))
+            got, want = cross_section_extrema(m), cross_section_extrema(full[ch])
+            scaled_want = (math.ldexp(want.min_value, 2 * k), math.ldexp(want.max_value, 2 * k))
+            assert repr((got.min_value, got.max_value)) == repr(scaled_want)
+            assert repr(control._eigenvalues(m)) == repr(scaled_want)
+            assert repr((got.params_at_min, got.params_at_max)) == repr(
+                (want.params_at_min, want.params_at_max)
+            )
+        for num, den in (("D+HF", "H+DF"), ("H+DF", "D+HF")):
+            got, want = ratio_extrema(mats[num], mats[den]), ratio_extrema(full[num], full[den])
+            assert repr(got) == repr(want)
+
+    def test_only_matrices_outside_the_safe_range_are_scaled(self, rng):
+        m = random_psd_matrix(rng)
+        assert control._scaled(m)[0] is m and control._scaled(m)[1] == 0
+        safe = control._SAFE_EXP
+        low, high = math.ldexp(1.0, -safe), math.ldexp(1.0, safe)
+        for d in (low, math.nextafter(high, 0.0)):  # the ends of the range are kept
+            assert control._scaled(sched(d, 0.5 * d, 0.0))[1] == 0
+        # the larger diagonal decides; k is even and brings it into [2**(safe-2), 2**safe)
+        for d in (math.nextafter(low, 0.0), high, 2.0**300, 2.0**-600, 5e-324, 1e308):
+            for diag in ((d, 0.5 * d), (0.0, d)):
+                scaled, k = control._scaled(sched(*diag, 0.0))
+                assert k != 0 and k % 2 == 0
+                assert math.ldexp(1.0, safe - 2) <= max(scaled.sigma11, scaled.sigma22) < high
+                assert (scaled.sigma11, scaled.sigma22) == tuple(math.ldexp(x, k) for x in diag)
+
+    def test_a_wide_range_matrix_keeps_its_bits(self):
+        # diagonals near 2**301 and 2**-751: scaled, yet shrunk only into the safe
+        # range, so the small one stays normal; the unscaled formulas overflow nothing here
+        s11, s22 = math.ldexp(1 / 3, 302), math.ldexp(1 / 7, -748)
+        s12 = complex(math.ldexp(1 / 5, -230), math.ldexp(-1 / 11, -231))
+        m = sched(s11, s22, s12)
+        scaled, k = control._scaled(m)
+        assert k != 0 and scaled.sigma22 >= sys.float_info.min
+        lam_max = 0.5 * (m.trace + math.sqrt((s11 - s22) ** 2 + 4.0 * abs(s12) ** 2))
+        lam_min = m.det / lam_max
+        assert lam_min >= sys.float_info.min  # normal, so its bits are the unscaled solve's
+        assert control._eigenvalues(m) == (lam_min, lam_max)
+        got = cross_section_extrema(m)
+        assert (got.min_value, got.max_value) == (lam_min, lam_max)
+        assert got.params_at_min == control._null_params(s11 - lam_min, s22 - lam_min, s12)
+        assert got.params_at_max == control._null_params(s11 - lam_max, s22 - lam_max, s12)
+
+    def test_ratio_beyond_the_doubles_saturates(self):
+        a, b = sched(2.0, 1.0, 0.5 + 0.5j, "A"), sched(1.0, 3.0, 0.25, "B")
+        want = ratio_extrema(a, b)
+        assert not (want.degenerate or want.unbounded_max)
+        big_a, small_a = sched(*_times(a, 1000), "A"), sched(*_times(a, -1000), "A")
+        big_b, small_b = sched(*_times(b, 1000), "B"), sched(*_times(b, -1000), "B")
+        for (num, den), value in (((big_a, small_b), math.inf), ((small_a, big_b), 0.0)):
+            got = ratio_extrema(num, den)  # the ratio times 2**+-2000
+            assert (got.min_value, got.max_value) == (value, value)
+            assert (got.params_at_min, got.params_at_max) == (want.params_at_min, want.params_at_max)
 
 
 class TestNoncoherentLimits:

@@ -62,6 +62,54 @@ def simple_specs(mix_shapes=False):
     return res, bg
 
 
+class TestSpecCoverage:
+    """A spec's ``(arrangement, states)`` coverage is built once and kept outside its fields."""
+
+    STATE = "ChannelState(arrangement='{0}', v=0, j=0, m=0)"
+    MISMATCH = (
+        f"resonance covers [('D+HF', ({STATE.format('D+HF')},)), "
+        f"('H+DF', ({STATE.format('H+DF')},))], "
+        f"background covers [('D+HF', ({STATE.format('D+HF')},))] "
+        "(same channels, same states, same order required)"
+    )
+
+    def test_mismatch_message_is_unchanged(self):
+        res, bg = simple_specs()
+        bad_bg = replace(bg, channels=bg.channels[:1])
+        grid = gauss_legendre_grid(4)
+        for synthesize in (
+            lambda: synthesize_table(res, bad_bg, grid, 0.3, INITIAL, 0.5),
+            lambda: synthesis_basis(res, bad_bg, grid, 0.5),
+            lambda: synthesize_table(res, bad_bg, grid, 0.3, INITIAL, 0.5, basis=()),
+        ):
+            with pytest.raises(SpecMismatchError) as err:
+                synthesize()
+            assert str(err.value) == self.MISMATCH
+
+    def test_basis_shapes_message_is_unchanged(self):
+        res, bg = simple_specs()
+        basis = synthesis_basis(res, bg, gauss_legendre_grid(4), mix=0.5)
+        with pytest.raises(CohresError) as err:
+            synthesize_table(res, bg, gauss_legendre_grid(5), 0.3, INITIAL, 0.5, basis=basis)
+        assert str(err.value) == (
+            "basis shapes [(3, 1, 4, 2), (3, 1, 4, 2)] do not match the specs and grid, "
+            "expected [(3, 1, 5, 2), (3, 1, 5, 2)]"
+        )
+
+    def test_cache_is_no_field(self):
+        res, bg = simple_specs()
+        before = repr(res), repr(bg), hash(res), hash(bg)
+        table = synthesize_table(res, bg, gauss_legendre_grid(4), 0.3, INITIAL, 0.5)
+        assert "_coverage" in vars(res) and "_coverage" in vars(bg)  # built, and kept
+        assert [b.states for b in table.channels] == [states for _, states in res._coverage]
+        assert (repr(res), repr(bg), hash(res), hash(bg)) == before
+        assert (res, bg) == simple_specs()
+        swapped = replace(res, exits=res.exits[::-1])
+        assert swapped._coverage == res._coverage[::-1]
+        with pytest.raises(SpecMismatchError):
+            synthesis_basis(swapped, bg, gauss_legendre_grid(4), 0.5)
+
+
 class TestBreitWigner:
     def test_on_resonance_value(self):
         res, _ = simple_specs()

@@ -28,11 +28,18 @@ from cohres import (
     write_scan_csv,
 )
 from cohres.resonance import synthesis_basis
-from cohres.scan import _scan_row, scan_csv_header
+from cohres.scan import _ScanColumns, scan_csv_header
 from conftest import FHD_SCENARIO, INITIAL, direct_table, random_scenario
 
 PAIR = ("D+HF", "H+DF")
 ENERGIES = [0.25 + 0.005 * i for i in range(13)]
+
+
+def _scan_row(energy, matrices, pair):
+    """One energy's row, built as ``energy_scan`` builds each of its rows."""
+    cols = _ScanColumns(pair, tuple(matrices))
+    cols._append(energy, matrices)
+    return cols[0]
 
 
 def flat_scenario(slope_free=True):
@@ -449,6 +456,58 @@ class TestScanCsv:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_scan_csv([], tmp_path / "x.csv")
+
+
+class TestScanColumns:
+    """``energy_scan`` returns a read-only sequence that builds each row on first access."""
+
+    ENERGIES = [0.20 + 0.05 * k / 400 for k in range(401)]
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return energy_scan(read_scenario(FHD_SCENARIO), self.ENERGIES, PAIR)
+
+    @pytest.mark.parametrize("pair", [PAIR, PAIR[::-1], ("D+HF", "D+HF")], ids=str)
+    def test_columns_and_rows_write_the_same_bytes(self, tmp_path, pair):
+        rows = energy_scan(read_scenario(FHD_SCENARIO), self.ENERGIES, pair)
+        by_column, by_row = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        write_scan_csv(rows, by_column)
+        write_scan_csv(list(rows), by_row)
+        assert by_column.read_bytes() == by_row.read_bytes() == reference_scan_csv(list(rows))
+
+    def test_indexing_slicing_and_iteration_are_a_lists(self, rows):
+        as_list = list(rows)
+        assert len(rows) == len(as_list) == 401
+        assert [r.energy for r in rows] == self.ENERGIES
+        assert (rows[0], rows[-1], rows[-401]) == (as_list[0], as_list[-1], as_list[-401])
+        for cut in (slice(1, 3), slice(None, None, -100), slice(5, 2), slice(-3, None)):
+            assert rows[cut] == as_list[cut]
+        assert list(reversed(rows)) == as_list[::-1]
+        assert rows.index(as_list[200]) == 200
+        assert rows[7] is rows[7] is as_list[7]  # built once, then kept
+
+    def test_compares_as_a_list(self, rows):
+        again = energy_scan(read_scenario(FHD_SCENARIO), self.ENERGIES, PAIR)
+        assert rows == again and again == list(rows) and list(rows) == again
+        assert rows != again[:-1] and rows != tuple(rows) and rows != again[::-1]
+        assert not (rows != again)
+        with pytest.raises(TypeError):
+            hash(rows)
+
+    def test_out_of_range_and_assignment_refused(self, rows):
+        for i in (401, -402):
+            with pytest.raises(IndexError):
+                rows[i]
+        with pytest.raises(TypeError):
+            rows[0] = rows[1]
+        with pytest.raises(TypeError):
+            del rows[0]
+
+    def test_a_row_is_its_one_energy_scan(self, rows):
+        cfg = read_scenario(FHD_SCENARIO)
+        for i in (0, 200, -1):
+            (alone,) = energy_scan(cfg, [self.ENERGIES[i]], PAIR)
+            assert repr(rows[i]) == repr(alone)
 
 
 class TestCommittedScenarioRegression:

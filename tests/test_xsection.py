@@ -23,6 +23,7 @@ from cohres import (
     gauss_legendre_grid,
     schwartz_ratio,
 )
+from cohres.constants import TWO_PI
 from cohres.scan import energy_scan
 from cohres.scenario import read_scenario
 from cohres.xsection import _gram
@@ -293,6 +294,60 @@ class TestXsecMatrixInvariants:
             eig = np.linalg.eigvalsh(m.as_array())
             assert eig.min() >= -1e-10 * m.trace
             assert abs(m.sigma12) <= math.sqrt(m.sigma11 * m.sigma22) + 1e-10 * m.trace
+
+
+NAN = math.nan
+# (constructor, arguments, what it stores as {field: (type, repr)} or its exact error message)
+CONSTRUCTOR_CASES = [
+    (XsecMatrix, ("X", "integral", np.float64(2.0), np.float64(1.0), np.complex128(0.5 + 0.5j)),
+     {"sigma11": (float, "2.0"), "sigma22": (float, "1.0"), "sigma12": (complex, "(0.5+0.5j)")}),
+    (XsecMatrix, ("X", "integral", 2, 1, 1),
+     {"sigma11": (float, "2.0"), "sigma22": (float, "1.0"), "sigma12": (complex, "(1+0j)")}),
+    (XsecMatrix, ("X", "integral", -0.0, 1.0, -0.0),
+     {"sigma11": (float, "-0.0"), "sigma22": (float, "1.0"), "sigma12": (complex, "(-0+0j)")}),
+    # SLACK * trace is 1e-10 here: just inside it is stored as 0, just beyond it raises
+    (XsecMatrix, ("X", "integral", -0.9e-10, 1.0, 0.0),
+     {"sigma11": (float, "0.0"), "sigma22": (float, "1.0")}),
+    (XsecMatrix, ("X", "integral", -1.1e-10, 1.0, 0.0),
+     "sigma11 = -1.1e-10 is negative beyond the trace's slack"),
+    (XsecMatrix, ("X", "integral", 1.0, -0.9e-10, 0.0),
+     {"sigma11": (float, "1.0"), "sigma22": (float, "0.0")}),
+    (XsecMatrix, ("X", "integral", 1.0, -1.1e-10, 0.0),
+     "sigma22 = -1.1e-10 is negative beyond the trace's slack"),
+    # a nan trace forgives sigma11, so sigma22's finiteness is what is reported
+    (XsecMatrix, ("X", "integral", -1.0, NAN, 0.0), "sigma22 must be finite, got nan"),
+    (XsecMatrix, ("X", "integral", NAN, -1.0, 0.0), "sigma11 must be finite, got nan"),
+    (XsecMatrix, ("X", "integral", 1.0, math.inf, 0.0), "sigma22 must be finite, got inf"),
+    (XsecMatrix, ("X", "integral", 1.0, 1.0, 2.0),
+     "|sigma12| = 2.0 violates the Schwartz bound sqrt(sigma11*sigma22) = 1.0"),
+    # the Schwartz bound uses the clamped sigma11
+    (XsecMatrix, ("X", "integral", -0.9e-10, 1.0, 2e-10),
+     "|sigma12| = 2e-10 violates the Schwartz bound sqrt(sigma11*sigma22) = 0.0"),
+    (ControlParams, (np.float64(0.25), np.float64(1.0)),
+     {"s": (float, "0.25"), "phi12": (float, "1.0")}),
+    (ControlParams, (1, 0), {"s": (float, "1.0"), "phi12": (float, "0.0")}),
+    (ControlParams, (-0.0, -0.0), {"s": (float, "-0.0"), "phi12": (float, "-0.0")}),
+    (ControlParams, (0.5, -TWO_PI), {"s": (float, "0.5"), "phi12": (float, "-0.0")}),
+    (ControlParams, (0.5, np.float64(-1.0)),
+     {"s": (float, "0.5"), "phi12": (float, repr(TWO_PI - 1.0))}),
+    (ControlParams, (True, 0.0), "s must be a real number, got True"),
+    (ControlParams, (-5e-324, 0.0), "s must lie in [0, 1], got -5e-324"),
+    (ControlParams, (NAN, 0.0), "s must lie in [0, 1], got nan"),
+    # both fields are taken as real numbers before either range is checked
+    (ControlParams, (2.0, "0"), "phi12 must be a real number, got '0'"),
+    (ControlParams, ("1", "0"), "s must be a real number, got '1'"),
+]
+
+
+@pytest.mark.parametrize("ctor, args, want", CONSTRUCTOR_CASES)
+def test_constructor_stores_canonical_types_or_names_the_fault(ctor, args, want):
+    if isinstance(want, str):
+        with pytest.raises(CohresError) as err:
+            ctor(*args)
+        assert str(err.value) == want
+        return
+    obj = ctor(*args)
+    assert {name: (type(getattr(obj, name)), repr(getattr(obj, name))) for name in want} == want
 
 
 class TestControlledCrossSection:
