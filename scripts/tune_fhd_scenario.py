@@ -34,7 +34,6 @@ from cohres import (
     width_from_lifetime,
     write_scenario,
 )
-from cohres.control import _quotient
 
 PEAK_EV = 0.2550
 CHANNEL_A = "D+HF"
@@ -186,7 +185,7 @@ def report(cfg: ScenarioConfig) -> None:
     num = differential_matrix(table, CHANNEL_A, node)
     den = differential_matrix(table, CHANNEL_B, node)
     diff = ratio_extrema(num, den)
-    diff_factor = _quotient(diff.max_value, diff.min_value)
+    diff_factor = math.inf if diff.min_value == 0.0 else diff.max_value / diff.min_value
     int_row = next(r for r in rows if abs(r.energy - PEAK_EV) < 1e-12)
     print(
         f"backward node {node} theta={math.degrees(table.grid.nodes[node]):.2f}deg  "

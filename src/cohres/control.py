@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI
+from .core import _real
 from .errors import CohresError, ZeroDenominatorError
 from .xsection import ControlParams, XsecMatrix, _form_terms, controlled_cross_section
 
@@ -37,7 +38,7 @@ __all__ = [
 
 SINGULAR_TOL = 1e-14  # det(B) <= tol * trace(B)^2 marks a singular denominator
 DEGENERATE_TOL = 1e-11  # elementwise |A - kappa*B| below this (relative) is degenerate
-DENOM_FLOOR = 1e-300  # lattice ratio points below this denominator are skipped
+DENOM_FLOOR = 1e-300  # a lattice ratio point is skipped where den <= this * its larger diagonal
 _SAFE_EXP = 250  # a larger diagonal in [2**-250, 2**250) is solved unscaled (_scaled)
 _SAFE_LOW, _SAFE_HIGH = math.ldexp(1.0, -_SAFE_EXP), math.ldexp(1.0, _SAFE_EXP)
 _BLOCK_POINTS = 1 << 15  # lattice points per row block: ~256 KB per float64 array
@@ -225,8 +226,10 @@ def ratio_extrema(
     A matrix of extreme scale is solved scaled by an exact power of two
     (``_scaled``); the ratio's values are unscaled, and its parameters do
     not depend on the scale.  Raises ZeroDenominatorError when
-    trace(B) == 0.
+    trace(B) == 0, CohresError unless ``tol_singular`` is a finite real >= 0.
     """
+    if not 0.0 <= (tol_singular := _real(tol_singular, "tol_singular")) < math.inf:
+        raise CohresError(f"tol_singular must be a finite number >= 0, got {tol_singular!r}")
     num, ka = _scaled(num)
     den, kb = _scaled(den)
     k = ka - kb  # a ratio of the scaled matrices is the ratio times 2**k
@@ -291,11 +294,11 @@ def lattice_extrema(
 
     The lattice contains both s endpoints and excludes phi = 2*pi
     (periodic).  Ties resolve to the lexicographically smallest (s, phi).
-    For ratio objectives, lattice points whose denominator falls below
-    ``DENOM_FLOOR`` are excluded and counted in ``skipped_points``.  Each
-    evaluated point is off by a few eps*tr, so a ratio point's relative
-    error grows like eps*tr(den)/den(c) near the denominator's null
-    direction, and the ratio extrema are trustworthy only to that extent.
+    For ratio objectives, lattice points whose denominator is at most
+    ``DENOM_FLOOR`` times its larger diagonal (whose row, s = 0 or 1, thus
+    always stays) are skipped and counted in ``skipped_points``.  Each point
+    is off by a few eps*tr, so a ratio point's relative error, and so the
+    extrema's, grows like eps*tr(den)/den(c) near den's null direction.
 
     The lattice is walked in blocks of whole s rows, about
     ``_BLOCK_POINTS`` points each, so memory is O(block * n_phi) while
@@ -318,6 +321,7 @@ def lattice_extrema(
             raise CohresError(f"{name} must be an integer >= 2, got {n!r}")
     if den is not None and den.trace == 0.0:
         raise ZeroDenominatorError("denominator matrix is identically zero")
+    floor = None if den is None else DENOM_FLOOR * max(den.sigma11, den.sigma22)
     s = np.linspace(0.0, 1.0, n_s)
     phi = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     rows = min(n_s, max(1, _BLOCK_POINTS // n_phi))
@@ -339,10 +343,10 @@ def lattice_extrema(
         values = evaluate(*num_eval, i0, i1)
         if den_eval is not None:
             d = evaluate(*den_eval, i0, i1)
-            if d.min() >= DENOM_FLOOR:  # no point skipped (a NaN fails this too)
+            if d.min() > floor:  # no point skipped (a NaN fails this too)
                 np.divide(values, d, out=values)
             else:
-                ok = d >= DENOM_FLOOR
+                ok = d > floor
                 n_ok = int(np.count_nonzero(ok))
                 skipped += ok.size - n_ok
                 if n_ok == 0:
@@ -358,8 +362,6 @@ def lattice_extrema(
             lo = float(values.flat[i_min]), i0 * n_phi + i_min
         if hi is None or values.flat[i_max] > hi[0]:
             hi = float(values.flat[i_max]), i0 * n_phi + i_max
-    if lo is None:
-        raise ZeroDenominatorError("denominator vanished on the whole lattice")
 
     def at(flat: int) -> ControlParams:
         i, j = divmod(flat, n_phi)

@@ -22,6 +22,7 @@ mixed-m pair among them, so every table that exists is valid.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
@@ -82,6 +83,20 @@ def _real(x, what: str) -> float:
     if isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool)):
         return float(x)
     raise CohresError(f"{what} must be a real number, got {x!r}")
+
+
+def _complex(x, what: str) -> complex:
+    """``x`` as a plain complex if it is a finite number, not a bool; anything else is refused."""
+    if type(x) is complex or (isinstance(x, numbers.Complex) and not isinstance(x, bool)):
+        return _finite(complex(x), what)
+    raise CohresError(f"{what} must be a complex number, got {x!r}")
+
+
+def _finite(x, what: str):
+    """``x``, a float or a complex, if it is finite; nan and inf are refused."""
+    if cmath.isfinite(x):
+        return x
+    raise CohresError(f"{what} must be finite, got {x!r}")
 
 
 def _grid_order(x, what: str) -> int:

@@ -19,7 +19,6 @@ into the exit couplings.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -28,7 +27,8 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .constants import HBAR_EV_FS, TWO_PI
-from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState, _label, _real
+from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
+from .core import _complex, _finite, _label, _real
 from .errors import CohresError, NonPositiveError, SpecMismatchError, UnknownChannelError
 
 __all__ = [
@@ -48,11 +48,12 @@ __all__ = [
 ]
 
 
-def _require_finite(**fields) -> None:
-    """Raise CohresError for the first field, a number or a tuple of them, holding nan or inf."""
-    for name, value in fields.items():
-        if not all(map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise CohresError(f"{name} must be finite, got {value!r}")
+def _shape(shape) -> tuple[float, ...]:
+    """A Legendre shape as a non-empty tuple of finite floats (``core._real``, ``_finite``)."""
+    shape = tuple(_finite(_real(c, "shape"), "shape") for c in shape)
+    if not shape:
+        raise CohresError("angular shape needs at least one Legendre coefficient")
+    return shape
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,8 @@ class ExitState:
     shape: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coupling", complex(self.coupling))
-        object.__setattr__(self, "shape", tuple(float(c) for c in self.shape))
-        _require_finite(coupling=self.coupling, shape=self.shape)
-        if not self.shape:
-            raise CohresError("angular shape needs at least one Legendre coefficient")
+        object.__setattr__(self, "coupling", _complex(self.coupling, "coupling"))
+        object.__setattr__(self, "shape", _shape(self.shape))
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,8 @@ class ResonanceSpec:
     ``entrance`` couples the intermediate to the two initial states;
     ``exits`` list, per product arrangement, the final states it decays
     into.  The complex resonance energy is eps_r - i*Gamma/2 (decaying
-    state, lower half plane).  ``epsilon_r`` and ``gamma_width`` are stored
-    as plain floats (see ``core._real``).
+    state, lower half plane).  Every number is stored plain and finite
+    (see ``core._real``, ``_complex`` and ``_finite``).
     """
 
     epsilon_r: float
@@ -103,11 +101,8 @@ class ResonanceSpec:
 
     def __post_init__(self):
         for name in ("epsilon_r", "gamma_width"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        object.__setattr__(self, "entrance", tuple(complex(g) for g in self.entrance))
-        _require_finite(
-            epsilon_r=self.epsilon_r, gamma_width=self.gamma_width, entrance=self.entrance
-        )
+            object.__setattr__(self, name, _finite(_real(getattr(self, name), name), name))
+        object.__setattr__(self, "entrance", tuple(_complex(g, "entrance") for g in self.entrance))
         if self.gamma_width <= 0.0:
             raise NonPositiveError(f"gamma_width must be > 0, got {self.gamma_width!r}")
         object.__setattr__(self, "exits", tuple(self.exits))
@@ -148,20 +143,11 @@ class BackgroundState:
     column_weights: tuple[complex, complex] = (1.0 + 0.0j, 1.0 + 0.0j)
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        object.__setattr__(self, "slope", complex(self.slope))
-        object.__setattr__(self, "shape", tuple(float(c) for c in self.shape))
-        object.__setattr__(
-            self, "column_weights", tuple(complex(w) for w in self.column_weights)
-        )
-        _require_finite(
-            amplitude=self.amplitude,
-            slope=self.slope,
-            shape=self.shape,
-            column_weights=self.column_weights,
-        )
-        if not self.shape:
-            raise CohresError("angular shape needs at least one Legendre coefficient")
+        for name in ("amplitude", "slope"):
+            object.__setattr__(self, name, _complex(getattr(self, name), name))
+        object.__setattr__(self, "shape", _shape(self.shape))
+        weights = tuple(_complex(w, "column_weights") for w in self.column_weights)
+        object.__setattr__(self, "column_weights", weights)
         if len(self.column_weights) != 2:
             raise CohresError("column_weights must have exactly two entries")
 
@@ -184,9 +170,8 @@ class BackgroundSpec:
     channels: tuple[BackgroundChannel, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        reference_energy = _real(self.reference_energy, "reference_energy")
-        object.__setattr__(self, "reference_energy", reference_energy)
-        _require_finite(reference_energy=self.reference_energy)
+        energy = _real(self.reference_energy, "reference_energy")
+        object.__setattr__(self, "reference_energy", _finite(energy, "reference_energy"))
         object.__setattr__(self, "channels", tuple(self.channels))
 
     @cached_property

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .control import ControlRange, _eigenvalues, _quotient, ratio_extrema
+from .core import _finite
 from .errors import CohresError, DegenerateChannelError, UnknownChannelError
 from .resonance import synthesis_basis, synthesize_table
 from .scenario import ScenarioConfig
@@ -202,9 +203,8 @@ def _check_energies(energies: list[float]) -> None:
     """The rule for a scan's energies, which ``cohres scan`` checks before reading."""
     if not energies:
         raise CohresError("energies must be nonempty")
-    bad = next((e for e in energies if not math.isfinite(e)), None)
-    if bad is not None:
-        raise CohresError(f"energies must be finite, got {bad!r}")
+    for e in energies:
+        _finite(e, "energies")
     if any(b <= a for a, b in zip(energies, energies[1:])):
         raise CohresError("energies must be strictly increasing")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .core import AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
-from .core import _channel_violations, _grid_order, _pair_violations, _real
+from .core import _channel_violations, _finite, _grid_order, _pair_violations, _real
 from .errors import CohresError, TableValidationError
 from .resonance import (
     BackgroundChannel,
@@ -42,9 +42,9 @@ class ScenarioConfig:
     (they never enter the amplitudes); ``energy_offset`` is a labelling
     offset only, recording which zero the scan energies are quoted
     against.  The pair, channel and grid-order rules of its tables and grid
-    are checked here by the same ``core`` code.  Real fields are stored as
-    plain floats, ``grid_order`` as an int and ``masses_amu`` as a
-    read-only mapping, so every scenario writes a file that reads back.
+    are checked here by the same ``core`` code.  Real fields are plain
+    finite floats, ``grid_order`` an int and ``masses_amu`` read-only, so
+    every scenario writes a strict JSON file that reads back.
     The grid is built on first use and kept.
     """
 
@@ -57,13 +57,14 @@ class ScenarioConfig:
     energy_offset: float = 0.0
 
     def __post_init__(self):
-        for name in ("mix", "energy_offset"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+        offset = _finite(_real(self.energy_offset, "energy_offset"), "energy_offset")
+        object.__setattr__(self, "energy_offset", offset)
         if not all(isinstance(k, str) for k in self.masses_amu):
             raise CohresError(f"masses_amu keys must be strings, got {list(self.masses_amu)!r}")
-        masses = {str(k): _real(m, f"mass {k!r}") for k, m in self.masses_amu.items()}
+        masses = {str(k): _finite(_real(m, f"mass {k!r}"), f"mass {k!r}")
+                  for k, m in self.masses_amu.items()}
         object.__setattr__(self, "masses_amu", MappingProxyType(masses))
-        _check_specs(self.resonance, self.background, self.mix)
+        object.__setattr__(self, "mix", _check_specs(self.resonance, self.background, self.mix))
         object.__setattr__(self, "grid_order", _grid_order(self.grid_order, "grid_order"))
         object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
         coverage = self.resonance._coverage

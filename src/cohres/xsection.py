@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI
-from .core import AmplitudeTable, _real
+from .core import AmplitudeTable, _complex, _finite, _real
 from .errors import CohresError, DegenerateChannelError, NodeOutOfRangeError
 
 __all__ = [
@@ -53,7 +53,7 @@ class ControlParams:
 
     s = |c2|^2 / (|c1|^2 + |c2|^2) in [0, 1]; phi12 = Arg(c2/c1), stored
     reduced to [0, 2*pi).  Both are real numbers, stored as plain floats
-    (see ``core._real``).
+    (see ``core._real``); ``phi12`` must be finite (``core._finite``).
     """
 
     s: float
@@ -63,10 +63,8 @@ class ControlParams:
         s, phi12 = _real(self.s, "s"), _real(self.phi12, "phi12")
         if not 0.0 <= s <= 1.0:
             raise CohresError(f"s must lie in [0, 1], got {s!r}")
-        if not math.isfinite(phi12):
-            raise CohresError(f"phi12 must be finite, got {phi12!r}")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "phi12", _reduce_phase(phi12))
+        object.__setattr__(self, "phi12", _reduce_phase(_finite(phi12, "phi12")))
 
     def coefficients(self) -> tuple[float, complex]:
         """Unit superposition coefficients (c1 real >= 0, c2 complex)."""
@@ -87,6 +85,7 @@ class XsecMatrix:
     (~4.5e5 eps, far above a Gram sum's rounding).  A diagonal that far
     below 0 is stored as 0, |sigma12| may exceed sqrt(sigma11*sigma22) by
     as much, and more raises CohresError.  Functions of M only clamp.
+    Entries are stored plain and finite (``core._real``, ``_complex``).
     """
 
     channel: str
@@ -101,24 +100,22 @@ class XsecMatrix:
             raise CohresError(f"kind must be integral|differential, got {self.kind!r}")
         if (self.kind == "differential") != (self.node is not None):
             raise CohresError("node index is required iff kind == differential")
-        for name in ("sigma11", "sigma22"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise CohresError(f"{name} must be finite, got {v!r}")
-            if v < 0.0:
-                if v < -SLACK * (float(self.sigma11) + float(self.sigma22)):
+        s11 = _finite(_real(self.sigma11, "sigma11"), "sigma11")
+        s22 = _finite(_real(self.sigma22, "sigma22"), "sigma22")
+        s12 = _complex(self.sigma12, "sigma12")
+        if s11 < 0.0 or s22 < 0.0:
+            for name, v in ("sigma11", s11), ("sigma22", s22):
+                if v < -SLACK * (s11 + s22):
                     raise CohresError(f"{name} = {v!r} is negative beyond the trace's slack")
-                v = 0.0
-            object.__setattr__(self, name, v)
-        s12 = complex(self.sigma12)
-        if not (math.isfinite(s12.real) and math.isfinite(s12.imag)):
-            raise CohresError(f"sigma12 must be finite, got {s12!r}")
-        root = math.sqrt(self.sigma11) * math.sqrt(self.sigma22)  # the product may underflow
-        if abs(s12) > root + SLACK * self.trace:
+            s11, s22 = max(s11, 0.0), max(s22, 0.0)  # -0.0 stays as it is
+        root = math.sqrt(s11) * math.sqrt(s22)  # the product may underflow
+        if abs(s12) > root + SLACK * (s11 + s22):
             raise CohresError(
                 f"|sigma12| = {abs(s12)!r} violates the Schwartz bound "
                 f"sqrt(sigma11*sigma22) = {root!r}"
             )
+        object.__setattr__(self, "sigma11", s11)
+        object.__setattr__(self, "sigma22", s22)
         object.__setattr__(self, "sigma12", s12)
 
     @property

@@ -92,6 +92,22 @@ class TestControlCommand:
             for i in (2, 3):
                 assert float(have.group(i)) == pytest.approx(float(want.group(i)), rel=1e-9)
 
+    def test_oracle_on_a_tiny_scale_table(self, fhd_table, tmp_path, capsys):
+        # amplitudes times 1e-155: the lattice's denominators are near 1e-310, and its floor scales
+        path = tmp_path / "tiny.json"
+        write_table(scaled_table(read_table(fhd_table), 1e-155), path)
+        flags = ["--num", "D+HF", "--den", "H+DF", "--oracle", "41"]
+        assert main(["control", "--table", str(fhd_table), *flags]) == 0
+        full = capsys.readouterr().out
+        assert main(["control", "--table", str(path), *flags]) == 0
+        got = capsys.readouterr()
+        assert got.err == ""
+        for end in ("min", "max"):
+            pattern = rf"^oracle_r_{end} = (\S+) at s = (\S+), phi12_deg = (\S+)$"
+            want, have = parse_line(pattern, full), parse_line(pattern, got.out)
+            assert float(have.group(1)) == pytest.approx(float(want.group(1)), rel=1e-9)
+            assert have.group(2, 3) == want.group(2, 3)
+
     def test_single_channel_mode(self, fhd_table, capsys):
         rc = main(["control", "--table", str(fhd_table), "--channel", "D+HF"])
         assert rc == 0

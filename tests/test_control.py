@@ -153,6 +153,28 @@ class TestRatioExtrema:
         with pytest.raises(ZeroDenominatorError):
             ratio_extrema(sched(1.0, 1.0, 0.0), sched(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            ("1e-14", "tol_singular must be a real number, got '1e-14'"),
+            (True, "tol_singular must be a real number, got True"),
+            (None, "tol_singular must be a real number, got None"),
+            (-1.0, "tol_singular must be a finite number >= 0, got -1.0"),
+            (math.nan, "tol_singular must be a finite number >= 0, got nan"),
+            (math.inf, "tol_singular must be a finite number >= 0, got inf"),
+        ],
+        ids=["str", "bool", "none", "negative", "nan", "inf"],
+    )
+    def test_tol_singular_is_a_finite_real_at_least_zero(self, tol, message):
+        # a singular denominator: without the check -1.0 and nan divide by zero
+        num, den = sched(1.0, 2.0, 0.5j, "A"), sched(1, 1, 1, "B")
+        with pytest.raises(CohresError) as err:
+            ratio_extrema(num, den, tol_singular=tol)
+        assert str(err.value) == message
+        want = repr(ratio_extrema(num, den))  # det B is exactly 0: unbounded at any tol >= 0
+        for tol in (np.float64(control.SINGULAR_TOL), 0, -0.0):
+            assert repr(ratio_extrema(num, den, tol_singular=tol)) == want
+
     def test_params_reproduce_ratio_extrema(self, rng):
         for _ in range(200):
             num = random_psd_matrix(rng, "A")
@@ -230,6 +252,18 @@ class TestScaleBeforeSolving:
         for num, den in (("D+HF", "H+DF"), ("H+DF", "D+HF")):
             got, want = ratio_extrema(mats[num], mats[den]), ratio_extrema(full[num], full[den])
             assert repr(got) == repr(want)
+
+    def test_lattice_floor_follows_the_denominator_scale(self, fhd):
+        # amplitudes times 1e-155: every denominator value is near 1e-310
+        full = [cross_section_matrix(fhd, ch) for ch in ("D+HF", "H+DF")]
+        tiny = [cross_section_matrix(scaled_table(fhd, 1e-155), ch) for ch in ("D+HF", "H+DF")]
+        got, want = lattice_extrema(*tiny, 41, 41), lattice_extrema(*full, 41, 41)
+        assert got.skipped_points == want.skipped_points == 0
+        assert got.min_value == pytest.approx(want.min_value, rel=1e-9)
+        assert got.max_value == pytest.approx(want.max_value, rel=1e-9)
+        assert (got.params_at_min, got.params_at_max) == (want.params_at_min, want.params_at_max)
+        closed = ratio_extrema(*tiny)
+        assert got.min_value >= closed.min_value and got.max_value <= closed.max_value
 
     def test_only_matrices_outside_the_safe_range_are_scaled(self, rng):
         m = random_psd_matrix(rng)
@@ -397,10 +431,8 @@ def _whole_lattice(num, den, n_s, n_phi):
         i_min, i_max = int(np.argmin(values)), int(np.argmax(values))
     else:
         d = np.clip(quadratic_form(den, s[:, None], phi[None, :]), 0.0, None)
-        ok = d >= DENOM_FLOOR
+        ok = d > DENOM_FLOOR * max(den.sigma11, den.sigma22)
         skipped = int(ok.size - np.count_nonzero(ok))
-        if skipped == ok.size:
-            raise ZeroDenominatorError("denominator vanished on the whole lattice")
         values = np.where(ok, values / np.where(ok, d, 1.0), np.nan)
         i_min, i_max = int(np.nanargmin(values)), int(np.nanargmax(values))
 
@@ -480,13 +512,16 @@ class TestRowBlockParity:
         assert np.all(d >= DENOM_FLOOR)
         assert np.isposinf(n).any() and np.isnan(q).any() and not np.isnan(q).all(axis=1).any()
 
-    def test_vanishing_denominator_raises(self, block_rows):
+    def test_tiny_denominator_is_evaluated(self, block_rows):
+        # the floor follows the denominator's scale: 1e-301 * I is a ratio of 1e301 everywhere
         block_rows(11, 7)
         num, den = sched(1.0, 1.0, 0.0, "A"), sched(1e-301, 1e-301, 0.0, "B")
-        with pytest.raises(ZeroDenominatorError, match="whole lattice"):
-            _whole_lattice(num, den, 11, 7)
-        with pytest.raises(ZeroDenominatorError, match="whole lattice"):
-            lattice_extrema(num, den, 11, 7)
+        lat = lattice_extrema(num, den, 11, 7)
+        got = (lat.min_value, lat.max_value, lat.params_at_min, lat.params_at_max)
+        assert got + (lat.skipped_points,) == _whole_lattice(num, den, 11, 7)
+        assert lat.skipped_points == 0
+        assert lat.min_value == pytest.approx(1e301, rel=1e-15)
+        assert lat.max_value == pytest.approx(1e301, rel=1e-15)
 
 
 class TestControlRangeSeparation:

@@ -364,3 +364,92 @@ class TestContiguousBlocks:
                 assert repr(differential_matrix(t, "P", k)) == repr(
                     differential_matrix(ref, "P", k)
                 ), (name, k)
+
+
+def _scalar_fields() -> dict:
+    """Every scalar number field of the records, as (build(value), stored(record), label, type)."""
+    from dataclasses import replace
+
+    from cohres import ControlParams, ExitState, XsecMatrix, read_scenario
+    from conftest import FHD_SCENARIO
+
+    cfg = read_scenario(FHD_SCENARIO)
+    res, bg = cfg.resonance, cfg.background
+    exit_state, bg_state = res.exits[0].states[0], bg.channels[0].states[0]
+    m = XsecMatrix("X", "integral", 1.0, 1.0, 0.0)
+    return {
+        "ExitState.coupling": (lambda v: replace(exit_state, coupling=v),
+                               lambda r: r.coupling, "coupling", complex),
+        "ExitState.shape": (lambda v: ExitState(exit_state.state, 1.0, (1.0, v)),
+                            lambda r: r.shape[1], "shape", float),
+        "ResonanceSpec.epsilon_r": (lambda v: replace(res, epsilon_r=v),
+                                    lambda r: r.epsilon_r, "epsilon_r", float),
+        "ResonanceSpec.gamma_width": (lambda v: replace(res, gamma_width=v),
+                                      lambda r: r.gamma_width, "gamma_width", float),
+        "ResonanceSpec.entrance": (lambda v: replace(res, entrance=(1.0, v)),
+                                   lambda r: r.entrance[1], "entrance", complex),
+        "BackgroundState.amplitude": (lambda v: replace(bg_state, amplitude=v),
+                                      lambda r: r.amplitude, "amplitude", complex),
+        "BackgroundState.slope": (lambda v: replace(bg_state, slope=v),
+                                  lambda r: r.slope, "slope", complex),
+        "BackgroundState.shape": (lambda v: replace(bg_state, shape=(v,)),
+                                  lambda r: r.shape[0], "shape", float),
+        "BackgroundState.column_weights": (lambda v: replace(bg_state, column_weights=(v, 1.0)),
+                                           lambda r: r.column_weights[0], "column_weights",
+                                           complex),
+        "BackgroundSpec.reference_energy": (lambda v: replace(bg, reference_energy=v),
+                                            lambda r: r.reference_energy, "reference_energy",
+                                            float),
+        "XsecMatrix.sigma11": (lambda v: replace(m, sigma11=v),
+                               lambda r: r.sigma11, "sigma11", float),
+        "XsecMatrix.sigma22": (lambda v: replace(m, sigma22=v),
+                               lambda r: r.sigma22, "sigma22", float),
+        "XsecMatrix.sigma12": (lambda v: replace(m, sigma12=v),
+                               lambda r: r.sigma12, "sigma12", complex),
+        "ControlParams.s": (lambda v: ControlParams(v, 0.0), lambda r: r.s, "s", float),
+        "ControlParams.phi12": (lambda v: ControlParams(0.5, v),
+                                lambda r: r.phi12, "phi12", float),
+        "ScenarioConfig.energy_offset": (lambda v: replace(cfg, energy_offset=v),
+                                         lambda r: r.energy_offset, "energy_offset", float),
+        "ScenarioConfig.masses_amu": (lambda v: replace(cfg, masses_amu={"F": v}),
+                                      lambda r: r.masses_amu["F"], "mass 'F'", float),
+    }
+
+
+SCALAR_FIELDS = _scalar_fields()
+# (value, what a real field stores or its fault, what a complex field stores or its fault)
+NUMBER_CASES = {
+    "int": (1, 1.0, 1 + 0j),
+    "numpy": (np.float32(0.5), 0.5, 0.5 + 0j),
+    "numpy-complex": (np.complex64(0.5 + 0.25j), "real number", 0.5 + 0.25j),
+    "bool": (True, "real number", "complex number"),
+    "str": ("0.5", "real number", "complex number"),
+    "none": (None, "real number", "complex number"),
+    "nan": (math.nan, "finite", "finite"),
+    "inf": (math.inf, "finite", "finite"),
+    "-inf": (-math.inf, "finite", "finite"),
+    "complex-nan": (complex(0.0, math.nan), "real number", "finite"),
+}
+
+
+@pytest.mark.parametrize("case", NUMBER_CASES)
+@pytest.mark.parametrize("field", SCALAR_FIELDS)
+def test_every_scalar_field_takes_one_number_rule(no_grid, field, case):
+    """A number is stored as a plain float or complex; anything else is one CohresError."""
+    build, stored, label, kind = SCALAR_FIELDS[field]
+    value, *outcomes = NUMBER_CASES[case]
+    want = outcomes[kind is complex]
+    if not isinstance(want, str):
+        got = stored(build(value))
+        assert type(got) is kind and got == want
+        return
+    with pytest.raises(CohresError) as err:
+        build(value)
+    if want == "finite":
+        if label == "s":  # s's range check is what refuses a non-finite s
+            want = f"s must lie in [0, 1], got {value!r}"
+        else:
+            want = f"{label} must be finite, got {kind(value)!r}"
+    else:
+        want = f"{label} must be a {want}, got {value!r}"
+    assert str(err.value) == want

@@ -513,6 +513,7 @@ class TestScenarioIo:
             (("background", "channels", 0, "states", 0, "slope", 1), "slope"),
             (("background", "channels", 0, "states", 0, "shape", 2), "shape"),
             (("background", "channels", 1, "states", 0, "column_weights", 1, 0), "column_weights"),
+            (("energy_offset_eV",), "energy_offset"),
         ],
         ids=lambda x: x if isinstance(x, str) else None,
     )
@@ -543,6 +544,26 @@ class TestScenarioIo:
         ) == 1
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (math.nan, "CohresError: mass 'F' must be finite, got nan"),
+            (-math.inf, "CohresError: mass 'F' must be finite, got -inf"),
+            ("nan", "TypeError: F must be a number, got 'nan'"),
+        ],
+        ids=["NaN", "-inf", "str"],
+    )
+    def test_non_finite_mass_rejected(self, tmp_path, capsys, value, message):
+        # the reader names a mass by its key, the scenario by "mass 'F'"
+        doc = json.loads(FHD_SCENARIO.read_text())
+        doc["masses_amu"]["F"] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError) as err:
+            read_scenario(path)
+        assert str(err.value) == f"{path}: {message}"
+        self._assert_cli_rejects(path, capsys)
 
     @pytest.mark.parametrize(
         "keys, value, message",
