@@ -78,6 +78,26 @@ def _label(x, what: str) -> str:
     raise CohresError(f"{what} must be a non-empty string, got {x!r}")
 
 
+def _items(x, what: str, kind: type | None = None) -> tuple:
+    """The container rule of the records: ``x`` as a tuple if it is an iterable, never a str,
+    whose items are all ``kind`` (for a field of numbers, ``kind`` is None and each item
+    goes through ``_real`` or ``_complex``); anything else is refused."""
+    if not isinstance(x, str):
+        with suppress(TypeError):
+            items = tuple(x)
+            if kind is None or all(isinstance(i, kind) for i in items):
+                return items
+    of = "numbers" if kind is None else kind.__name__
+    raise CohresError(f"{what} must be a sequence of {of}, got {x!r}")
+
+
+def _instance(x, kind: type, what: str):
+    """``x`` if it is a ``kind``, the rule of a record field that holds one record."""
+    if isinstance(x, kind):
+        return x
+    raise CohresError(f"{what} must be a {kind.__name__}, got {x!r}")
+
+
 def _real(x, what: str) -> float:
     """``x`` as a plain float if it is a real number and not a bool; anything else is refused."""
     if isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool)):

@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import legval
 
 from .constants import HBAR_EV_FS, TWO_PI
 from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
-from .core import _complex, _finite, _label, _real
+from .core import _complex, _finite, _instance, _items, _label, _real
 from .errors import CohresError, NonPositiveError, SpecMismatchError, UnknownChannelError
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
 
 def _shape(shape) -> tuple[float, ...]:
     """A Legendre shape as a non-empty tuple of finite floats (``core._real``, ``_finite``)."""
-    shape = tuple(_finite(_real(c, "shape"), "shape") for c in shape)
+    shape = tuple(_finite(_real(c, "shape"), "shape") for c in _items(shape, "shape"))
     if not shape:
         raise CohresError("angular shape needs at least one Legendre coefficient")
     return shape
@@ -69,6 +69,7 @@ class ExitState:
     shape: tuple[float, ...]
 
     def __post_init__(self):
+        _instance(self.state, ChannelState, "state")
         object.__setattr__(self, "coupling", _complex(self.coupling, "coupling"))
         object.__setattr__(self, "shape", _shape(self.shape))
 
@@ -80,7 +81,7 @@ class ExitChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "arrangement", _label(self.arrangement, "arrangement"))
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", _items(self.states, "states", ExitState))
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,11 @@ class ResonanceSpec:
     def __post_init__(self):
         for name in ("epsilon_r", "gamma_width"):
             object.__setattr__(self, name, _finite(_real(getattr(self, name), name), name))
-        object.__setattr__(self, "entrance", tuple(_complex(g, "entrance") for g in self.entrance))
+        entrance = tuple(_complex(g, "entrance") for g in _items(self.entrance, "entrance"))
+        object.__setattr__(self, "entrance", entrance)
         if self.gamma_width <= 0.0:
             raise NonPositiveError(f"gamma_width must be > 0, got {self.gamma_width!r}")
-        object.__setattr__(self, "exits", tuple(self.exits))
+        object.__setattr__(self, "exits", _items(self.exits, "exits", ExitChannel))
         if len(self.entrance) != 2:
             raise CohresError("entrance must couple exactly two initial states")
         if not any(s.coupling != 0 for ch in self.exits for s in ch.states):
@@ -143,10 +145,12 @@ class BackgroundState:
     column_weights: tuple[complex, complex] = (1.0 + 0.0j, 1.0 + 0.0j)
 
     def __post_init__(self):
+        _instance(self.state, ChannelState, "state")
         for name in ("amplitude", "slope"):
             object.__setattr__(self, name, _complex(getattr(self, name), name))
         object.__setattr__(self, "shape", _shape(self.shape))
-        weights = tuple(_complex(w, "column_weights") for w in self.column_weights)
+        weights = _items(self.column_weights, "column_weights")
+        weights = tuple(_complex(w, "column_weights") for w in weights)
         object.__setattr__(self, "column_weights", weights)
         if len(self.column_weights) != 2:
             raise CohresError("column_weights must have exactly two entries")
@@ -161,7 +165,7 @@ class BackgroundChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "arrangement", _label(self.arrangement, "arrangement"))
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", _items(self.states, "states", BackgroundState))
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,7 @@ class BackgroundSpec:
     def __post_init__(self):
         energy = _real(self.reference_energy, "reference_energy")
         object.__setattr__(self, "reference_energy", _finite(energy, "reference_energy"))
-        object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "channels", _items(self.channels, "channels", BackgroundChannel))
 
     @cached_property
     def _coverage(self) -> tuple[tuple[str, tuple[ChannelState, ...]], ...]:

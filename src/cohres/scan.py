@@ -3,9 +3,8 @@
 One row per total energy, carrying for every product channel the coherent
 extrema, the two no-interference cross sections and the Schwartz ratio,
 and for a designated channel pair the ratio extrema with their control
-parameters.  The scenario's energy-independent synthesis basis is
-computed once per scan, and each energy's table is combined from it by
-the one formula every synthesized table uses.  Rows follow input order,
+parameters.  Each energy's table is the scenario's ``table_at``, combined
+from the basis the scenario keeps.  Rows follow input order,
 each row depends only on its own energy, and repeated runs are
 bit-identical.
 """
@@ -14,15 +13,14 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 from .control import ControlRange, _eigenvalues, _quotient, ratio_extrema
-from .core import _finite
+from .core import _finite, _real
 from .errors import CohresError, DegenerateChannelError, UnknownChannelError
-from .resonance import synthesis_basis, synthesize_table
 from .scenario import ScenarioConfig
 from .xsection import XsecMatrix, cross_section_matrix, schwartz_ratio
 
@@ -94,15 +92,14 @@ def _safe_schwartz(m: XsecMatrix) -> float:
 
 
 class _ScanColumns(Sequence[ScanRow]):
-    """A scan kept by column: a read-only sequence of ``ScanRow``s built on first access.
+    """A scan kept by column: a read-only sequence of ``ScanRow``s built on first read.
 
     Per energy it holds each channel's five ``_CHANNEL_COLUMNS`` values as
     one tuple, the pair's ``ControlRange`` and its two non-coherent ratios.
     ``write_scan_csv`` writes from these columns, so a scan that is only
-    written builds no row object.  A row is built when it is first read and
-    kept, so reading it again returns the same object, as a list would.
-    Indexing, negative indexing, ``len``, iteration and ``==`` (against
-    another scan or a list of rows) behave as on a list; a slice is a list.
+    written builds no row object.  The first read of a row builds every
+    row into one list and keeps it, so indexing, slicing, iteration and
+    ``==`` (against another scan or a list of rows) are that list's.
     """
 
     def __init__(self, pair: tuple[str, str], labels: tuple[str, ...]):
@@ -111,7 +108,6 @@ class _ScanColumns(Sequence[ScanRow]):
         self._energies = []
         self._extrema = []
         self._r_nc = []  # (r_nc_min, r_nc_max)
-        self._rows = {}  # index -> the ScanRow built on its first access
 
     def _append(self, energy: float, matrices: dict[str, XsecMatrix]) -> None:
         """Add one energy's row, from every channel's matrix, in ``labels`` order.
@@ -156,28 +152,25 @@ class _ScanColumns(Sequence[ScanRow]):
     def __len__(self) -> int:
         return len(self._energies)
 
+    @cached_property
+    def _rows(self) -> list[ScanRow]:
+        num, den = self._pair
+        channels = [[ChannelScan(label, *v) for v in c] for label, c in self._channels.items()]
+        return [
+            ScanRow(e, c, RatioScan(num, den, x, *r_nc))
+            for e, c, x, r_nc in zip(self._energies, zip(*channels), self._extrema, self._r_nc)
+        ]
+
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        n = len(self._energies)
-        i = operator.index(i)
-        if not -n <= i < n:
-            raise IndexError("scan row index out of range")
-        i %= n
-        row = self._rows.get(i)
-        if row is None:
-            num, den = self._pair
-            row = self._rows[i] = ScanRow(
-                energy=self._energies[i],
-                channels=tuple(ChannelScan(label, *c[i]) for label, c in self._channels.items()),
-                ratio=RatioScan(num, den, self._extrema[i], *self._r_nc[i]),
-            )
-        return row
+        return self._rows[i]
+
+    def __iter__(self):
+        return iter(self._rows)
 
     def __eq__(self, other):
-        if not isinstance(other, (_ScanColumns, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a is b or a == b for a, b in zip(self, other))
+        if isinstance(other, _ScanColumns):
+            other = other._rows
+        return self._rows == other if isinstance(other, list) else NotImplemented
 
     __hash__ = None  # compared by value, so unhashable, as a list
 
@@ -199,14 +192,15 @@ class _ScanColumns(Sequence[ScanRow]):
             yield ",".join(map(repr, map(float, values))) + "\r\n"
 
 
-def _check_energies(energies: list[float]) -> None:
-    """The rule for a scan's energies, which ``cohres scan`` checks before reading."""
+def _check_energies(energies: Sequence[float]) -> list[float]:
+    """The rule for a scan's energies, which ``cohres scan`` checks before reading:
+    a nonempty, strictly increasing list of finite plain floats (``core._real``)."""
+    energies = [_finite(_real(e, "energies"), "energies") for e in energies]
     if not energies:
         raise CohresError("energies must be nonempty")
-    for e in energies:
-        _finite(e, "energies")
     if any(b <= a for a, b in zip(energies, energies[1:])):
         raise CohresError("energies must be strictly increasing")
+    return energies
 
 
 def energy_scan(
@@ -216,32 +210,28 @@ def energy_scan(
 ) -> Sequence[ScanRow]:
     """Scan the scenario over strictly increasing, finite total energies.
 
-    The scenario's ``synthesis_basis`` is computed once; each energy's
-    table is combined from it and integrated by ``cross_section_matrix``.
+    Each energy's table is ``cfg.table_at``, combined from the basis the
+    scenario keeps, and integrated by ``cross_section_matrix``.
     A channel's ``sigma_min``/``sigma_max`` are the eigenvalues of its
     matrix, equal to ``cross_section_extrema``'s bounds; only the ratio
     pair's extrema carry control parameters.  The rows come as a read-only
-    sequence that keeps the values by column and builds each ``ScanRow``
-    on its first access.
+    sequence that keeps the values by column and builds every ``ScanRow``
+    on the first read of one.
     Raises UnknownChannelError when a label of ``channel_pair`` is not a
     scenario channel.  A row whose table, matrices or solvers raise a
     CohresError or an ArithmeticError raises a CohresError that names the
     energy, chained to the original.
     """
-    energies = list(energies)
-    _check_energies(energies)
+    energies = _check_energies(energies)
     known = cfg.product_channels()
     for label in channel_pair:
         if label not in known:
             raise UnknownChannelError(f"channel {label!r} not in scenario channels {known}")
 
-    grid = cfg.grid()
-    res, bg = cfg.resonance, cfg.background
-    basis = synthesis_basis(res, bg, grid, cfg.mix)
     cols = _ScanColumns(tuple(channel_pair), known)
     for e in energies:
         try:
-            table = synthesize_table(res, bg, grid, e, cfg.initial_pair, cfg.mix, basis=basis)
+            table = cfg.table_at(e)
             cols._append(e, {ch: cross_section_matrix(table, ch) for ch in known})
         except (CohresError, ArithmeticError) as exc:
             raise CohresError(f"at energy {e!r} eV: {exc}") from exc

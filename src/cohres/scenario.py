@@ -16,7 +16,8 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .core import AmplitudeTable, AngleGrid, ChannelState, gauss_legendre_grid
-from .core import _channel_violations, _finite, _grid_order, _pair_violations, _real
+from .core import _channel_violations, _finite, _grid_order, _instance, _items
+from .core import _pair_violations, _real
 from .errors import CohresError, TableValidationError
 from .resonance import (
     BackgroundChannel,
@@ -26,6 +27,7 @@ from .resonance import (
     ExitState,
     ResonanceSpec,
     _check_specs,
+    synthesis_basis,
     synthesize_table,
 )
 from .tableio import _at, _cx, _cx_out, _load_object, _read_text, _reading, _state_in, _state_out
@@ -45,7 +47,7 @@ class ScenarioConfig:
     are checked here by the same ``core`` code.  Real fields are plain
     finite floats, ``grid_order`` an int and ``masses_amu`` read-only, so
     every scenario writes a strict JSON file that reads back.
-    The grid is built on first use and kept.
+    The grid and its ``synthesis_basis`` are built on first use and kept.
     """
 
     resonance: ResonanceSpec
@@ -61,12 +63,15 @@ class ScenarioConfig:
         object.__setattr__(self, "energy_offset", offset)
         if not all(isinstance(k, str) for k in self.masses_amu):
             raise CohresError(f"masses_amu keys must be strings, got {list(self.masses_amu)!r}")
-        masses = {str(k): _finite(_real(m, f"mass {k!r}"), f"mass {k!r}")
+        masses = {str(k): _finite(_real(m, f"masses_amu.{k}"), f"masses_amu.{k}")
                   for k, m in self.masses_amu.items()}
         object.__setattr__(self, "masses_amu", MappingProxyType(masses))
+        _instance(self.resonance, ResonanceSpec, "resonance")
+        _instance(self.background, BackgroundSpec, "background")
         object.__setattr__(self, "mix", _check_specs(self.resonance, self.background, self.mix))
         object.__setattr__(self, "grid_order", _grid_order(self.grid_order, "grid_order"))
-        object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
+        pair = _items(self.initial_pair, "initial_pair", ChannelState)
+        object.__setattr__(self, "initial_pair", pair)
         coverage = self.resonance._coverage
         if violations := _pair_violations(self.initial_pair) + _channel_violations(coverage):
             raise TableValidationError(violations)
@@ -79,8 +84,12 @@ class ScenarioConfig:
         """The scenario's Gauss-Legendre grid, built on its first use and kept."""
         return self._grid
 
+    @cached_property
+    def _basis(self) -> tuple:
+        return synthesis_basis(self.resonance, self.background, self.grid(), self.mix)
+
     def table_at(self, energy: float) -> AmplitudeTable:
-        """Synthesize the amplitude table at one total energy."""
+        """Synthesize the amplitude table at one total energy from the kept basis."""
         return synthesize_table(
             self.resonance,
             self.background,
@@ -88,6 +97,7 @@ class ScenarioConfig:
             energy,
             self.initial_pair,
             self.mix,
+            basis=self._basis,
         )
 
     def product_channels(self) -> tuple[str, ...]:
@@ -200,7 +210,9 @@ def _scenario_from_dict(doc: dict) -> ScenarioConfig:
         initial_pair=tuple(
             _state_in(s, f"initial_pair[{i}]") for i, s in enumerate(doc["initial_pair"])
         ),
-        masses_amu={k: _typed(m, float, k) for k, m in doc.get("masses_amu", {}).items()},
+        masses_amu={
+            k: _typed(m, float, f"masses_amu.{k}") for k, m in doc.get("masses_amu", {}).items()
+        },
         energy_offset=_typed(doc.get("energy_offset_eV", 0.0), float, "energy_offset_eV"),
     )
 

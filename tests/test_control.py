@@ -509,7 +509,7 @@ class TestRowBlockParity:
         with np.errstate(over="ignore", invalid="ignore"):
             n, d = (np.clip(quadratic_form(m, s, phi), 0.0, None) for m in (num, den))
             q = n / d
-        assert np.all(d >= DENOM_FLOOR)
+        assert np.all(d > DENOM_FLOOR * max(den.sigma11, den.sigma22))  # the lattice's skip rule
         assert np.isposinf(n).any() and np.isnan(q).any() and not np.isnan(q).all(axis=1).any()
 
     def test_tiny_denominator_is_evaluated(self, block_rows):

@@ -412,7 +412,7 @@ def _scalar_fields() -> dict:
         "ScenarioConfig.energy_offset": (lambda v: replace(cfg, energy_offset=v),
                                          lambda r: r.energy_offset, "energy_offset", float),
         "ScenarioConfig.masses_amu": (lambda v: replace(cfg, masses_amu={"F": v}),
-                                      lambda r: r.masses_amu["F"], "mass 'F'", float),
+                                      lambda r: r.masses_amu["F"], "masses_amu.F", float),
     }
 
 
@@ -430,6 +430,57 @@ NUMBER_CASES = {
     "-inf": (-math.inf, "finite", "finite"),
     "complex-nan": (complex(0.0, math.nan), "real number", "finite"),
 }
+
+
+def _container_fields():
+    """Every field of the spec records and the scenario that holds a record or a sequence,
+    as (build(value), label, what it must be, the number rule of its items or None)."""
+    from dataclasses import replace
+
+    from cohres import read_scenario
+    from conftest import FHD_SCENARIO
+
+    cfg = read_scenario(FHD_SCENARIO)
+    res, bg = cfg.resonance, cfg.background
+    exit_state, bg_state = res.exits[0].states[0], bg.channels[0].states[0]
+
+    def field(record, name, what, items=None):
+        return (lambda v: replace(record, **{name: v}), name, what, items)
+
+    numbers = "a sequence of numbers"
+    return {
+        "ExitState.state": field(exit_state, "state", "a ChannelState"),
+        "ExitState.shape": field(exit_state, "shape", numbers, "real"),
+        "ExitChannel.states": field(res.exits[0], "states", "a sequence of ExitState"),
+        "ResonanceSpec.entrance": field(res, "entrance", numbers, "complex"),
+        "ResonanceSpec.exits": field(res, "exits", "a sequence of ExitChannel"),
+        "BackgroundState.state": field(bg_state, "state", "a ChannelState"),
+        "BackgroundState.shape": field(bg_state, "shape", numbers, "real"),
+        "BackgroundState.column_weights": field(bg_state, "column_weights", numbers, "complex"),
+        "BackgroundChannel.states": field(bg.channels[0], "states",
+                                          "a sequence of BackgroundState"),
+        "BackgroundSpec.channels": field(bg, "channels", "a sequence of BackgroundChannel"),
+        "ScenarioConfig.initial_pair": field(cfg, "initial_pair", "a sequence of ChannelState"),
+        "ScenarioConfig.resonance": field(cfg, "resonance", "a ResonanceSpec"),
+        "ScenarioConfig.background": field(cfg, "background", "a BackgroundSpec"),
+    }
+
+
+CONTAINER_FIELDS = _container_fields()
+
+
+@pytest.mark.parametrize("value", [None, 5, "ab", ("x",)], ids=["none", "int", "str", "str-item"])
+@pytest.mark.parametrize("field", CONTAINER_FIELDS)
+def test_every_container_field_takes_one_container_rule(no_grid, field, value):
+    """A record field holds its record kind, a sequence field a sequence of its kind or of
+    numbers, never a str; anything else is one CohresError that names the field."""
+    build, label, what, items = CONTAINER_FIELDS[field]
+    with pytest.raises(CohresError) as err:
+        build(value)
+    if items is not None and value == ("x",):  # the items' own number rule refuses them
+        assert str(err.value) == f"{label} must be a {items} number, got 'x'"
+    else:
+        assert str(err.value) == f"{label} must be {what}, got {value!r}"
 
 
 @pytest.mark.parametrize("case", NUMBER_CASES)

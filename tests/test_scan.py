@@ -111,6 +111,15 @@ class TestEnergyScan:
         assert len(rows) == 13
         assert [r.energy for r in rows] == ENERGIES
 
+    def test_energies_are_stored_as_plain_floats(self):
+        cfg = read_scenario(FHD_SCENARIO)
+        energies = np.linspace(0.25, 0.26, 3)
+        rows = energy_scan(cfg, energies, PAIR)
+        assert type(rows[0].energy) is float
+        assert repr(list(rows)) == repr(list(energy_scan(cfg, energies.tolist(), PAIR)))
+        with pytest.raises(CohresError, match=r"^energies must be a real number, got '0.25'$"):
+            energy_scan(cfg, ["0.25"], PAIR)
+
     def test_flat_scenario_rows_identical(self, tmp_path):
         cfg = flat_scenario(slope_free=True)
         rows = energy_scan(cfg, [0.25, 0.26, 0.27, 0.28], PAIR)
@@ -318,8 +327,8 @@ class TestBasisScan:
             tables.append(synthesize_table(*args, basis=basis, **kwargs))
             return tables[-1]
 
-        monkeypatch.setattr("cohres.scan.synthesis_basis", basis_spy)
-        monkeypatch.setattr("cohres.scan.synthesize_table", table_spy)
+        monkeypatch.setattr("cohres.scenario.synthesis_basis", basis_spy)
+        monkeypatch.setattr("cohres.scenario.synthesize_table", table_spy)
         cfg = read_scenario(FHD_SCENARIO)
         assert len(energy_scan(cfg, ENERGIES, PAIR)) == len(ENERGIES)
         assert len(bases) == 1
@@ -337,8 +346,8 @@ class TestBasisScan:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the energies were checked")
 
-        monkeypatch.setattr("cohres.scan.synthesis_basis", refuse)
-        monkeypatch.setattr("cohres.scan.synthesize_table", refuse)
+        monkeypatch.setattr("cohres.scenario.synthesis_basis", refuse)
+        monkeypatch.setattr("cohres.scenario.synthesize_table", refuse)
         cfg = read_scenario(FHD_SCENARIO)
         with pytest.raises(ValueError, match=f"^energies must be finite, got {bad}$"):
             energy_scan(cfg, energies, PAIR)
@@ -384,6 +393,18 @@ class TestScanCsv:
             "R",
             "R_nc",
         ]
+
+    def test_a_written_scan_builds_no_row(self, tmp_path, monkeypatch):
+        rows = energy_scan(read_scenario(FHD_SCENARIO), ENERGIES, PAIR)
+
+        def refuse(*args):
+            raise AssertionError("a ScanRow was built")
+
+        monkeypatch.setattr("cohres.scan.ScanRow", refuse)
+        write_scan_csv(rows, tmp_path / "scan.csv")
+        assert len(rows) == len(ENERGIES)
+        monkeypatch.undo()
+        assert [r.energy for r in rows] == ENERGIES
 
     def test_csv_round_trips_values(self, tmp_path):
         cfg = read_scenario(FHD_SCENARIO)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cohres.core
+import cohres.scenario
 from cohres import (
     CohresError,
     ScenarioConfig,
@@ -123,6 +124,29 @@ class TestScenarioGrid:
         assert builds == [64, 64]
         assert other.grid().nodes.tobytes() == cfg.grid().nodes.tobytes()
         assert other == replace(cfg, mix=0.25) and repr(other) == repr(replace(cfg, mix=0.25))
+
+    def test_basis_is_built_once_per_scenario(self, monkeypatch):
+        bases, used = [], []
+        build, synthesize = cohres.scenario.synthesis_basis, cohres.scenario.synthesize_table
+
+        def basis_spy(*args):
+            bases.append(build(*args))
+            return bases[-1]
+
+        def table_spy(*args, basis):
+            used.append(basis)
+            return synthesize(*args, basis=basis)
+
+        monkeypatch.setattr(cohres.scenario, "synthesis_basis", basis_spy)
+        monkeypatch.setattr(cohres.scenario, "synthesize_table", table_spy)
+        cfg = read_scenario(FHD_SCENARIO)
+        energy_scan(cfg, [0.25, 0.255], ("D+HF", "H+DF"))
+        energy_scan(cfg, [0.26], ("H+DF", "D+HF"))
+        cfg.table_at(0.255)
+        assert len(bases) == 1 and len(used) == 4
+        assert all(basis is bases[0] for basis in used)
+        replace(cfg, mix=0.25).table_at(0.255)
+        assert len(bases) == 2 and used[-1] is bases[1] is not bases[0]
 
 
 def load_tuner(tmp_path):

@@ -514,6 +514,7 @@ class TestScenarioIo:
             (("background", "channels", 0, "states", 0, "shape", 2), "shape"),
             (("background", "channels", 1, "states", 0, "column_weights", 1, 0), "column_weights"),
             (("energy_offset_eV",), "energy_offset"),
+            (("masses_amu", "F"), "masses_amu.F"),
         ],
         ids=lambda x: x if isinstance(x, str) else None,
     )
@@ -546,32 +547,12 @@ class TestScenarioIo:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "value, message",
-        [
-            (math.nan, "CohresError: mass 'F' must be finite, got nan"),
-            (-math.inf, "CohresError: mass 'F' must be finite, got -inf"),
-            ("nan", "TypeError: F must be a number, got 'nan'"),
-        ],
-        ids=["NaN", "-inf", "str"],
-    )
-    def test_non_finite_mass_rejected(self, tmp_path, capsys, value, message):
-        # the reader names a mass by its key, the scenario by "mass 'F'"
-        doc = json.loads(FHD_SCENARIO.read_text())
-        doc["masses_amu"]["F"] = value
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(MalformedFileError) as err:
-            read_scenario(path)
-        assert str(err.value) == f"{path}: {message}"
-        self._assert_cli_rejects(path, capsys)
-
-    @pytest.mark.parametrize(
         "keys, value, message",
         [
             (("mix",), "0.5", "mix must be a number, got '0.5'"),
             (("mix",), True, "mix must be a number, got True"),
             (("energy_offset_eV",), None, "energy_offset_eV must be a number, got None"),
-            (("masses_amu", "F"), "19", "F must be a number, got '19'"),
+            (("masses_amu", "F"), "19", "masses_amu.F must be a number, got '19'"),
             (("resonance", "exits", 0, "states", 0, "shape", 0), True,
              "resonance.exits[0].states[0].shape[0] must be a number, got True"),
             (("resonance", "entrance", 1, 1), "0.8", "entrance[1][1] must be a number, got '0.8'"),
