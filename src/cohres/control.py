@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI
-from .core import _real
+from .core import _index, _real
 from .errors import CohresError, ZeroDenominatorError
 from .xsection import ControlParams, XsecMatrix, _form_terms, controlled_cross_section
 
@@ -290,9 +290,10 @@ def lattice_extrema(
     n_s: int = 721,
     n_phi: int = 721,
 ) -> ControlRange:
-    """Brute-force extrema on an (s, phi12) lattice.
+    """Brute-force extrema on an (s, phi12) lattice of ``n_s`` x ``n_phi`` points.
 
-    The lattice contains both s endpoints and excludes phi = 2*pi
+    Each size is an integer of at least 2 (``core._index``: a NumPy
+    integer is one, a bool is not).  The lattice contains both s endpoints and excludes phi = 2*pi
     (periodic).  Ties resolve to the lexicographically smallest (s, phi).
     For ratio objectives, lattice points whose denominator is at most
     ``DENOM_FLOOR`` times its larger diagonal (whose row, s = 0 or 1, thus
@@ -316,8 +317,9 @@ def lattice_extrema(
     This is an independent check on the closed-form solvers: it never
     solves anything, it just evaluates.
     """
+    n_s, n_phi = _index(n_s, "n_s"), _index(n_phi, "n_phi")
     for name, n in (("n_s", n_s), ("n_phi", n_phi)):
-        if type(n) is not int or n < 2:  # a bool is not a lattice size
+        if n < 2:
             raise CohresError(f"{name} must be an integer >= 2, got {n!r}")
     if den is not None and den.trace == 0.0:
         raise ZeroDenominatorError("denominator matrix is identically zero")

@@ -26,7 +26,6 @@ import cmath
 import math
 import numbers
 import operator
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,8 +65,10 @@ def _frozen(a, dtype) -> np.ndarray:
 def _index(x, what: str) -> int:
     """``x`` as a plain int; a bool or a non-integer is refused, as the file readers refuse it."""
     if not isinstance(x, bool):
-        with suppress(TypeError):
+        try:
             return operator.index(x)
+        except TypeError:
+            pass
     raise CohresError(f"{what} must be an integer, got {x!r}")
 
 
@@ -83,9 +84,17 @@ def _items(x, what: str, kind: type | None = None) -> tuple:
     whose items are all ``kind`` (for a field of numbers, ``kind`` is None and each item
     goes through ``_real`` or ``_complex``); anything else is refused."""
     if not isinstance(x, str):
-        with suppress(TypeError):
+        try:
             items = tuple(x)
-            if kind is None or all(isinstance(i, kind) for i in items):
+        except TypeError:
+            pass
+        else:
+            if kind is None:
+                return items
+            for i in items:
+                if not isinstance(i, kind):
+                    break
+            else:
                 return items
     of = "numbers" if kind is None else kind.__name__
     raise CohresError(f"{what} must be a sequence of {of}, got {x!r}")
@@ -95,7 +104,8 @@ def _instance(x, kind: type, what: str):
     """``x`` if it is a ``kind``, the rule of a record field that holds one record."""
     if isinstance(x, kind):
         return x
-    raise CohresError(f"{what} must be a {kind.__name__}, got {x!r}")
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    raise CohresError(f"{what} must be {article} {kind.__name__}, got {x!r}")
 
 
 def _real(x, what: str) -> float:
@@ -117,6 +127,19 @@ def _finite(x, what: str):
     if cmath.isfinite(x):
         return x
     raise CohresError(f"{what} must be finite, got {x!r}")
+
+
+def _positive(x, what: str) -> float:
+    """The rule of a quantity that must be > 0: ``x`` as a plain finite float > 0 (``_real``,
+    ``_finite``).  Anything else is a NonPositiveError, with the number rule's message
+    for a value that is not a finite real number."""
+    try:
+        x = _finite(_real(x, what), what)
+    except CohresError as exc:
+        raise NonPositiveError(*exc.args) from None
+    if x > 0.0:
+        return x
+    raise NonPositiveError(f"{what} must be > 0, got {x!r}")
 
 
 def _grid_order(x, what: str) -> int:
@@ -211,7 +234,8 @@ class AngleGrid:
         return self.nodes.size
 
     def nearest_node(self, theta: float) -> int:
-        """Index of the node closest to ``theta`` (radians)."""
+        """Index of the node closest to ``theta`` (radians), a finite real number."""
+        theta = _finite(_real(theta, "theta"), "theta")
         return int(np.argmin(np.abs(self.nodes - theta)))
 
     def violations(self) -> list[str]:
@@ -268,7 +292,8 @@ class ChannelBlock:
     at angle node k from initial state i (column 0 or 1), in A*sr^(-1/2).
     They are stored as a read-only C-contiguous copy, so a block's Grams do
     not depend on the memory layout of the caller's array, which stays theirs.
-    ``arrangement`` is a plain non-empty str, as in ``ChannelState``.
+    ``arrangement`` is a plain non-empty str, as in ``ChannelState``, and
+    ``states`` a tuple of ``ChannelState`` (see ``_items``).
     """
 
     arrangement: str
@@ -277,7 +302,7 @@ class ChannelBlock:
 
     def __post_init__(self):
         object.__setattr__(self, "arrangement", _label(self.arrangement, "arrangement"))
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", _items(self.states, "states", ChannelState))
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes, complex))
 
     @cached_property
@@ -304,7 +329,10 @@ class AmplitudeTable:
     initial pair, energy, grid, channel labels, then each block's
     amplitudes.  A block whose amplitude shape is wrong gets no finiteness
     check.  ``energy`` is stored as a float; a bool or a value that is not a
-    real number is a violation (see ``_real``).
+    real number is a violation (see ``_real``).  A malformed container field
+    is no violation but a CohresError that names it, raised first:
+    ``initial_pair`` and ``channels`` are stored as tuples of their record
+    kind (``_items``), and ``grid`` must be an ``AngleGrid`` (``_instance``).
     """
 
     energy: float
@@ -317,8 +345,10 @@ class AmplitudeTable:
             object.__setattr__(self, "energy", _real(self.energy, "energy"))
         except CohresError:
             pass  # _check lists it with the other violations
-        object.__setattr__(self, "initial_pair", tuple(self.initial_pair))
-        object.__setattr__(self, "channels", tuple(self.channels))
+        pair = _items(self.initial_pair, "initial_pair", ChannelState)
+        object.__setattr__(self, "initial_pair", pair)
+        _instance(self.grid, AngleGrid, "grid")
+        object.__setattr__(self, "channels", _items(self.channels, "channels", ChannelBlock))
         violations = self._check()
         if violations:
             raise TableValidationError(violations)
@@ -398,16 +428,16 @@ def kinematic_pair(e1: float, e2: float, Ek1: float, mu: float) -> Superposition
 
     Raises
     ------
+    CohresError
+        Unless e1 and e2 are finite real numbers.
     NonPositiveError
-        If Ek1 <= 0 or mu <= 0.
+        Unless Ek1 and mu are finite real numbers > 0.
     ChannelClosedError
         If component 2 would be left with no kinetic energy
         (Ek1 + e1 <= e2).
     """
-    if Ek1 <= 0.0:
-        raise NonPositiveError(f"Ek1 must be > 0, got {Ek1!r}")
-    if mu <= 0.0:
-        raise NonPositiveError(f"mu must be > 0, got {mu!r}")
+    e1, e2 = _finite(_real(e1, "e1"), "e1"), _finite(_real(e2, "e2"), "e2")
+    Ek1, mu = _positive(Ek1, "Ek1"), _positive(mu, "mu")
     delta = e2 - e1
     if Ek1 <= delta:
         raise ChannelClosedError(

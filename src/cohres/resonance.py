@@ -27,9 +27,10 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .constants import HBAR_EV_FS, TWO_PI
+from .control import _quotient
 from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
-from .core import _complex, _finite, _instance, _items, _label, _real
-from .errors import CohresError, NonPositiveError, SpecMismatchError, UnknownChannelError
+from .core import _complex, _finite, _instance, _items, _label, _positive, _real
+from .errors import CohresError, SpecMismatchError, UnknownChannelError
 
 __all__ = [
     "ExitState",
@@ -92,7 +93,8 @@ class ResonanceSpec:
     ``exits`` list, per product arrangement, the final states it decays
     into.  The complex resonance energy is eps_r - i*Gamma/2 (decaying
     state, lower half plane).  Every number is stored plain and finite
-    (see ``core._real``, ``_complex`` and ``_finite``).
+    (see ``core._real``, ``_complex`` and ``_finite``), and ``gamma_width``
+    is > 0 (``core._positive``).
     """
 
     epsilon_r: float
@@ -101,12 +103,11 @@ class ResonanceSpec:
     exits: tuple[ExitChannel, ...]
 
     def __post_init__(self):
-        for name in ("epsilon_r", "gamma_width"):
-            object.__setattr__(self, name, _finite(_real(getattr(self, name), name), name))
+        epsilon_r = _finite(_real(self.epsilon_r, "epsilon_r"), "epsilon_r")
+        object.__setattr__(self, "epsilon_r", epsilon_r)
+        object.__setattr__(self, "gamma_width", _positive(self.gamma_width, "gamma_width"))
         entrance = tuple(_complex(g, "entrance") for g in _items(self.entrance, "entrance"))
         object.__setattr__(self, "entrance", entrance)
-        if self.gamma_width <= 0.0:
-            raise NonPositiveError(f"gamma_width must be > 0, got {self.gamma_width!r}")
         object.__setattr__(self, "exits", _items(self.exits, "exits", ExitChannel))
         if len(self.entrance) != 2:
             raise CohresError("entrance must couple exactly two initial states")
@@ -204,25 +205,29 @@ def breit_wigner_factor(energy: float, spec: ResonanceSpec) -> complex:
 
 
 def width_from_lifetime(tau_fs: float) -> float:
-    """Total width Gamma = hbar / tau, tau in femtoseconds, Gamma in eV."""
-    if tau_fs <= 0.0:
-        raise NonPositiveError(f"lifetime must be > 0, got {tau_fs!r}")
-    return HBAR_EV_FS / tau_fs
+    """Total width Gamma = hbar / tau, tau in femtoseconds, Gamma in eV.
+
+    NonPositiveError unless ``tau_fs`` is a finite real number > 0 (``core._positive``).
+    """
+    return HBAR_EV_FS / _positive(tau_fs, "lifetime")
 
 
 def lifetime_from_width(gamma_ev: float) -> float:
-    """Lifetime tau = hbar / Gamma, Gamma in eV, tau in femtoseconds."""
-    if gamma_ev <= 0.0:
-        raise NonPositiveError(f"width must be > 0, got {gamma_ev!r}")
-    return HBAR_EV_FS / gamma_ev
+    """Lifetime tau = hbar / Gamma, Gamma in eV, tau in femtoseconds.
+
+    NonPositiveError unless ``gamma_ev`` is a finite real number > 0 (``core._positive``).
+    """
+    return HBAR_EV_FS / _positive(gamma_ev, "width")
 
 
 def legendre_shape_norm(shape: tuple[float, ...] | list[float]) -> float:
     """Solid-angle norm of a Legendre shape: integral of |shape(cos theta)|^2.
 
-    Orthogonality gives 2*pi * sum_l c_l^2 * 2/(2l+1) exactly.
+    Orthogonality gives 2*pi * sum_l c_l^2 * 2/(2l+1) exactly.  ``shape``
+    follows a spec's shape rule: at least one coefficient, each a finite
+    real number.
     """
-    return TWO_PI * sum(c * c * 2.0 / (2 * l + 1) for l, c in enumerate(shape))
+    return TWO_PI * sum(c * c * 2.0 / (2 * l + 1) for l, c in enumerate(_shape(shape)))
 
 
 def resonance_branching_ratio(spec: ResonanceSpec, channel_a: str, channel_b: str) -> float:
@@ -231,14 +236,15 @@ def resonance_branching_ratio(spec: ResonanceSpec, channel_a: str, channel_b: st
     sum_n |coupling_n|^2 * norm(shape_n) over channel_a divided by the same
     over channel_b.  For purely pole-mediated scattering this is the exact
     cross-section ratio, independent of energy and of the control
-    parameters.
+    parameters.  A zero flux into channel_b makes the ratio +inf, or nan
+    if channel_a's flux is zero too, as every cross-section ratio here.
     """
 
     def flux(label: str) -> float:
         ch = spec.exit_channel(label)
         return sum(abs(s.coupling) ** 2 * legendre_shape_norm(s.shape) for s in ch.states)
 
-    return flux(channel_a) / flux(channel_b)
+    return _quotient(flux(channel_a), flux(channel_b))
 
 
 def _check_specs(res: ResonanceSpec, bg: BackgroundSpec, mix: float) -> float:
@@ -277,7 +283,8 @@ def synthesize_table(
     one.  Resonance and background must cover identical channel and state
     lists (SpecMismatchError otherwise), and ``mix`` must be a real number
     in [0, 1].  ``energy`` is taken as a plain float before any arithmetic;
-    a bool or a complex energy raises the table's TableValidationError.
+    any other energy, a bool, a str, None or a complex among them, raises
+    the table's TableValidationError, listing that energy.
 
     Every table is combined by one formula, bw(E)*P + D + (E - E_ref)*S,
     from the energy-independent terms of ``synthesis_basis``.  A caller
@@ -299,14 +306,14 @@ def synthesize_table(
     try:
         energy = _real(energy, "energy")  # NumPy keeps float32 - float in single precision
     except CohresError:
-        pass  # the table lists it with its other violations
-    bw = breit_wigner_factor(energy, res)
-    t = energy - bg.reference_energy
+        bw = t = 0.0  # no amplitude depends on it; the table lists it with its other violations
+    else:
+        bw, t = breit_wigner_factor(energy, res), energy - bg.reference_energy
     blocks = tuple(
         ChannelBlock(label, states, bw * b[0] + b[1] + t * b[2])
         for (label, states), b in zip(res._coverage, basis)
     )
-    return AmplitudeTable(energy, tuple(initial_pair), grid, blocks)
+    return AmplitudeTable(energy, initial_pair, grid, blocks)
 
 
 def synthesis_basis(

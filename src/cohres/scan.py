@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .control import ControlRange, _eigenvalues, _quotient, ratio_extrema
-from .core import _finite, _real
+from .core import _finite, _items, _real
 from .errors import CohresError, DegenerateChannelError, UnknownChannelError
 from .scenario import ScenarioConfig
 from .xsection import XsecMatrix, cross_section_matrix, schwartz_ratio
@@ -203,6 +203,14 @@ def _check_energies(energies: Sequence[float]) -> list[float]:
     return energies
 
 
+def _channel_pair(pair) -> tuple[str, str]:
+    """The rule for a scan's channel pair: exactly two labels, as a tuple (``core._items``)."""
+    pair = _items(pair, "channel_pair", str)
+    if len(pair) != 2:
+        raise CohresError(f"channel_pair must hold exactly two labels, got {pair!r}")
+    return pair
+
+
 def energy_scan(
     cfg: ScenarioConfig,
     energies: Sequence[float],
@@ -217,18 +225,20 @@ def energy_scan(
     pair's extrema carry control parameters.  The rows come as a read-only
     sequence that keeps the values by column and builds every ``ScanRow``
     on the first read of one.
-    Raises UnknownChannelError when a label of ``channel_pair`` is not a
-    scenario channel.  A row whose table, matrices or solvers raise a
-    CohresError or an ArithmeticError raises a CohresError that names the
-    energy, chained to the original.
+    Raises CohresError unless ``channel_pair`` holds exactly two labels,
+    and UnknownChannelError when one of them is not a scenario channel,
+    both before any table is built.  A row whose table, matrices or
+    solvers raise a CohresError or an ArithmeticError raises a CohresError
+    that names the energy, chained to the original.
     """
     energies = _check_energies(energies)
+    channel_pair = _channel_pair(channel_pair)
     known = cfg.product_channels()
     for label in channel_pair:
         if label not in known:
             raise UnknownChannelError(f"channel {label!r} not in scenario channels {known}")
 
-    cols = _ScanColumns(tuple(channel_pair), known)
+    cols = _ScanColumns(channel_pair, known)
     for e in energies:
         try:
             table = cfg.table_at(e)
@@ -247,8 +257,9 @@ _RATIO_COLUMNS = (
 
 
 def scan_csv_header(pair: tuple[str, str]) -> list[str]:
+    """The CSV header of a scan of ``pair``, which must hold exactly two labels."""
     cols = ["energy_eV"]
-    for label in pair:
+    for label in _channel_pair(pair):
         cols += [f"{name}[{label}]" for name in _CHANNEL_COLUMNS]
     return cols + list(_RATIO_COLUMNS)
 

@@ -31,7 +31,7 @@ from .resonance import (
     synthesize_table,
 )
 from .tableio import _at, _cx, _cx_out, _load_object, _read_text, _reading, _state_in, _state_out
-from .tableio import _numbers, _record, _typed
+from .tableio import _array, _numbers, _record, _typed
 
 __all__ = ["ScenarioConfig", "read_scenario", "write_scenario"]
 
@@ -169,10 +169,8 @@ def _background_state(s, at: str) -> BackgroundState:
     amplitude = _cx(s["amplitude"], f"{at}.amplitude")
     slope = _cx(s["slope"], f"{at}.slope")
     shape = _numbers(s["shape"], f"{at}.shape")
-    weights = tuple(
-        _cx(w, f"{at}.column_weights[{i}]")
-        for i, w in enumerate(s.get("column_weights", [[1.0, 0.0], [1.0, 0.0]]))
-    )
+    weights = _array(s.get("column_weights", [[1.0, 0.0], [1.0, 0.0]]), f"{at}.column_weights")
+    weights = tuple(_cx(w, f"{at}.column_weights[{i}]") for i, w in enumerate(weights))
     with _at(at):
         return BackgroundState(state, amplitude, slope, shape, weights)
 
@@ -180,39 +178,44 @@ def _background_state(s, at: str) -> BackgroundState:
 def _channels(docs, at: str, cls, state) -> tuple:
     """The channel records ``docs`` at ``at``; each fault names its record's place."""
     out = []
-    for c, ch in enumerate(docs):
+    for c, ch in enumerate(_array(docs, at)):
         _record(ch, f"{at}[{c}]", ("arrangement", "states"))
         label = _typed(ch["arrangement"], str, f"{at}[{c}].arrangement")
-        states = tuple(state(s, f"{at}[{c}].states[{n}]") for n, s in enumerate(ch["states"]))
+        states = _array(ch["states"], f"{at}[{c}].states")
+        states = tuple(state(s, f"{at}[{c}].states[{n}]") for n, s in enumerate(states))
         with _at(f"{at}[{c}]"):
             out.append(cls(label, states))
     return tuple(out)
 
 
 def _scenario_from_dict(doc: dict) -> ScenarioConfig:
-    res_doc = doc["resonance"]
+    res_doc = _record(
+        doc["resonance"], "resonance", ("epsilon_r_eV", "gamma_width_eV", "entrance", "exits")
+    )
+    entrance = _array(res_doc["entrance"], "entrance")
     resonance = ResonanceSpec(
         epsilon_r=_typed(res_doc["epsilon_r_eV"], float, "epsilon_r_eV"),
         gamma_width=_typed(res_doc["gamma_width_eV"], float, "gamma_width_eV"),
-        entrance=tuple(_cx(g, f"entrance[{i}]") for i, g in enumerate(res_doc["entrance"])),
+        entrance=tuple(_cx(g, f"entrance[{i}]") for i, g in enumerate(entrance)),
         exits=_channels(res_doc["exits"], "resonance.exits", ExitChannel, _exit_state),
     )
+    bg_doc = _record(doc["background"], "background", ("reference_energy_eV", "channels"))
     channels = _channels(
-        doc["background"]["channels"], "background.channels", BackgroundChannel, _background_state
+        bg_doc["channels"], "background.channels", BackgroundChannel, _background_state
     )
-    reference_energy = doc["background"]["reference_energy_eV"]
-    background = BackgroundSpec(_typed(reference_energy, float, "reference_energy_eV"), channels)
+    reference_energy = _typed(bg_doc["reference_energy_eV"], float, "reference_energy_eV")
+    background = BackgroundSpec(reference_energy, channels)
+    masses = _record(doc.get("masses_amu", {}), "masses_amu", ())
     return ScenarioConfig(
         resonance=resonance,
         background=background,
         mix=_typed(doc["mix"], float, "mix"),
         grid_order=_typed(doc["grid_order"], int, "grid_order"),
         initial_pair=tuple(
-            _state_in(s, f"initial_pair[{i}]") for i, s in enumerate(doc["initial_pair"])
+            _state_in(s, f"initial_pair[{i}]")
+            for i, s in enumerate(_array(doc["initial_pair"], "initial_pair"))
         ),
-        masses_amu={
-            k: _typed(m, float, f"masses_amu.{k}") for k, m in doc.get("masses_amu", {}).items()
-        },
+        masses_amu={k: _typed(m, float, f"masses_amu.{k}") for k, m in masses.items()},
         energy_offset=_typed(doc.get("energy_offset_eV", 0.0), float, "energy_offset_eV"),
     )
 

@@ -17,10 +17,10 @@ the producer resolves its own scattering output onto an angle grid and
 writes this document; partial-wave resummation conventions stay on the
 producer's side of the contract.
 
-Both readers' field rules (``_typed``, ``_numbers``), fault rules (``_reading``,
-``_at``) and codecs for state records and [re, im] pairs live here, as does
-``_fmt``.  A fault in a record names its place in the document, as in
-``channels[1].states[0].v``.
+Both readers' field rules (``_typed``, ``_numbers``, ``_array``, ``_record``),
+fault rules (``_reading``, ``_at``) and codecs for state records and [re, im]
+pairs live here, as does ``_fmt``.  A fault in a record names its place in the
+document, as in ``channels[1].states[0].v``.
 """
 
 from __future__ import annotations
@@ -62,6 +62,13 @@ def _numbers(xs, what: str) -> list:
     return xs
 
 
+def _array(xs, what: str) -> list:
+    """``xs`` if it is a JSON array, the rule of a field that holds records or [re, im] pairs."""
+    if type(xs) is not list:
+        raise TypeError(f"{what} must be an array, got {xs!r}")
+    return xs
+
+
 def _cx(pair, what: str) -> complex:
     if len(_numbers(pair, what)) != 2:
         raise TypeError(f"{what} must be [re, im], got {pair!r}")
@@ -85,13 +92,14 @@ def _at(what: str):
         raise CohresError(f"{what}: {exc}") from None
 
 
-def _record(d, what: str, keys) -> None:
-    """Check ``d`` is a JSON object holding ``keys``; a fault names ``what`` or ``what.<key>``."""
+def _record(d, what: str, keys) -> dict:
+    """``d`` if it is a JSON object holding ``keys``; a fault names ``what`` or ``what.<key>``."""
     if type(d) is not dict:
         raise TypeError(f"{what} must be an object, got {d!r}")
     for k in keys:
         if k not in d:
             raise KeyError(f"{what}.{k}")
+    return d
 
 
 def _state_in(d, what: str) -> ChannelState:
@@ -187,13 +195,18 @@ def table_to_json(table: AmplitudeTable) -> str:
 def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
     doc = _load_object(text, where)
     with _reading(where):
-        grid = AngleGrid(*(_numbers(doc["angle_grid"][k], k) for k in ("nodes_rad", "weights_sr")))
-        pair = tuple(_state_in(d, f"initial[{i}]") for i, d in enumerate(doc["initial"]))
+        keys = ("nodes_rad", "weights_sr")
+        grid_doc = _record(doc["angle_grid"], "angle_grid", keys)
+        grid = AngleGrid(*(_numbers(grid_doc[k], k) for k in keys))
+        pair = tuple(
+            _state_in(d, f"initial[{i}]") for i, d in enumerate(_array(doc["initial"], "initial"))
+        )
         blocks = []
-        for idx, ch in enumerate(doc["channels"]):
+        for idx, ch in enumerate(_array(doc["channels"], "channels")):
             _record(ch, f"channels[{idx}]", ("arrangement", "states", "amplitudes"))
+            states = _array(ch["states"], f"channels[{idx}].states")
             states = tuple(
-                _state_in(d, f"channels[{idx}].states[{n}]") for n, d in enumerate(ch["states"])
+                _state_in(d, f"channels[{idx}].states[{n}]") for n, d in enumerate(states)
             )
             flat = _numbers(ch["amplitudes"], f"channels[{idx}].amplitudes")
             if len(flat) != (expected := len(states) * len(grid) * 4):
@@ -207,7 +220,7 @@ def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
                 blocks.append(ChannelBlock(label, states, amps))
         energy = _typed(doc["energy_eV"], float, "energy_eV")
     try:
-        return AmplitudeTable(energy=energy, initial_pair=pair, grid=grid, channels=tuple(blocks))
+        return AmplitudeTable(energy=energy, initial_pair=pair, grid=grid, channels=blocks)
     except TableValidationError as exc:  # built outside _reading: it keeps class and list
         raise TableValidationError(exc.violations, where) from None
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI
-from .core import AmplitudeTable, _complex, _finite, _real
+from .core import AmplitudeTable, _complex, _finite, _index, _real
 from .errors import CohresError, DegenerateChannelError, NodeOutOfRangeError
 
 __all__ = [
@@ -159,11 +159,13 @@ def differential_matrix(table: AmplitudeTable, channel: str, node: int) -> XsecM
     """Angle-resolved interference matrix at one grid node (A^2/sr).
 
     No quadrature weight is applied; the sum runs over final states only.
-    ``node`` must index the stored grid (no interpolation), else NodeOutOfRangeError.
+    ``node`` must be an integer (``core._index``), else CohresError, that
+    indexes the stored grid (no interpolation), else NodeOutOfRangeError.
     The block's first call sums every node at once and keeps the result.
     """
     block = table.channel(channel)
     n_nodes = len(table.grid)
+    node = _index(node, "node")
     if not 0 <= node < n_nodes:
         raise NodeOutOfRangeError(f"node {node} outside grid of {n_nodes} nodes")
     s11, s22, s12 = block._node_grams[node]

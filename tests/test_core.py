@@ -433,7 +433,7 @@ NUMBER_CASES = {
 
 
 def _container_fields():
-    """Every field of the spec records and the scenario that holds a record or a sequence,
+    """Every field of the table, spec and scenario records that holds a record or a sequence,
     as (build(value), label, what it must be, the number rule of its items or None)."""
     from dataclasses import replace
 
@@ -443,12 +443,17 @@ def _container_fields():
     cfg = read_scenario(FHD_SCENARIO)
     res, bg = cfg.resonance, cfg.background
     exit_state, bg_state = res.exits[0].states[0], bg.channels[0].states[0]
+    table = cfg.table_at(0.255)
 
     def field(record, name, what, items=None):
         return (lambda v: replace(record, **{name: v}), name, what, items)
 
     numbers = "a sequence of numbers"
     return {
+        "ChannelBlock.states": field(table.channels[0], "states", "a sequence of ChannelState"),
+        "AmplitudeTable.initial_pair": field(table, "initial_pair", "a sequence of ChannelState"),
+        "AmplitudeTable.grid": field(table, "grid", "an AngleGrid"),
+        "AmplitudeTable.channels": field(table, "channels", "a sequence of ChannelBlock"),
         "ExitState.state": field(exit_state, "state", "a ChannelState"),
         "ExitState.shape": field(exit_state, "shape", numbers, "real"),
         "ExitChannel.states": field(res.exits[0], "states", "a sequence of ExitState"),
@@ -504,3 +509,75 @@ def test_every_scalar_field_takes_one_number_rule(no_grid, field, case):
     else:
         want = f"{label} must be a {want}, got {value!r}"
     assert str(err.value) == want
+
+
+def _arguments():
+    """Every hand-checked argument of a library function, as (call(value), label, rule)."""
+    from cohres import (
+        XsecMatrix,
+        differential_matrix,
+        lattice_extrema,
+        legendre_shape_norm,
+        lifetime_from_width,
+        read_scenario,
+        width_from_lifetime,
+    )
+    from conftest import FHD_SCENARIO
+
+    table = read_scenario(FHD_SCENARIO).table_at(0.255)
+    m = XsecMatrix("X", "integral", 1.0, 1.0, 0.0)
+    return {
+        "width_from_lifetime": (width_from_lifetime, "lifetime", "positive"),
+        "lifetime_from_width": (lifetime_from_width, "width", "positive"),
+        "kinematic_pair.e1": (lambda v: kinematic_pair(v, 0.0, 0.1, 1.0), "e1", "real"),
+        "kinematic_pair.e2": (lambda v: kinematic_pair(0.0, v, 0.1, 1.0), "e2", "real"),
+        "kinematic_pair.Ek1": (lambda v: kinematic_pair(0.0, 0.0, v, 1.0), "Ek1", "positive"),
+        "kinematic_pair.mu": (lambda v: kinematic_pair(0.0, 0.0, 0.1, v), "mu", "positive"),
+        "AngleGrid.nearest_node": (table.grid.nearest_node, "theta", "real"),
+        "legendre_shape_norm": (lambda v: legendre_shape_norm([1.0, v]), "shape", "real"),
+        "differential_matrix": (lambda v: differential_matrix(table, "D+HF", v), "node", "integer"),
+        "lattice_extrema.n_s": (lambda v: lattice_extrema(m, None, v, 3), "n_s", "integer"),
+        "lattice_extrema.n_phi": (lambda v: lattice_extrema(m, None, 3, v), "n_phi", "integer"),
+    }
+
+
+ARGUMENTS = _arguments()
+BAD_NUMBERS = {"none": None, "bool": True, "str": "1", "nan": math.nan, "inf": math.inf}
+BAD_INTEGERS = {**BAD_NUMBERS, "fraction": 1.5}
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [
+        pytest.param(argument, value, id=f"{argument}-{name}")
+        for argument, (_, _, rule) in ARGUMENTS.items()
+        for name, value in (BAD_INTEGERS if rule == "integer" else BAD_NUMBERS).items()
+    ],
+)
+def test_every_argument_takes_its_core_rule(argument, value):
+    """A number argument goes through the number rule (a positive one raises
+    NonPositiveError), an integer argument through the integer rule, and either fault
+    is one CohresError that names the argument."""
+    call, label, rule = ARGUMENTS[argument]
+    with pytest.raises(NonPositiveError if rule == "positive" else CohresError) as err:
+        call(value)
+    if rule == "integer":
+        want = f"{label} must be an integer, got {value!r}"
+    elif isinstance(value, float):
+        want = f"{label} must be finite, got {value!r}"
+    else:
+        want = f"{label} must be a real number, got {value!r}"
+    assert str(err.value) == want
+
+
+def test_integer_arguments_take_numpy_integers():
+    """``lattice_extrema`` and ``differential_matrix`` take a NumPy integer, as
+    ``gauss_legendre_grid`` does, and give what the plain int gives."""
+    from cohres import XsecMatrix, differential_matrix, lattice_extrema
+
+    m = XsecMatrix("X", "integral", 1.0, 2.0, 0.5 + 0.5j)
+    assert lattice_extrema(m, None, np.int64(5), np.int32(4)) == lattice_extrema(m, None, 5, 4)
+    assert len(gauss_legendre_grid(np.int64(4))) == 4
+    t = random_table(np.random.default_rng(0), n_states=1, order=4)
+    label = t.arrangements()[0]
+    assert differential_matrix(t, label, np.int64(3)) == differential_matrix(t, label, 3)

@@ -179,6 +179,12 @@ class TestShapeNorm:
         quad = 2.0 * math.pi * float(np.sum(w * legval(x, list(shape)) ** 2))
         assert legendre_shape_norm(shape) == pytest.approx(quad, rel=1e-13)
 
+    def test_empty_shape_is_refused_as_a_spec_refuses_it(self):
+        with pytest.raises(CohresError, match="^angular shape needs at least one Legendre"):
+            legendre_shape_norm([])
+        with pytest.raises(CohresError, match="^shape must be a sequence of numbers, got 5$"):
+            legendre_shape_norm(5)
+
 
 class TestSynthesizeTable:
     def test_pure_pole_factorizes_everywhere(self, rng):
@@ -330,12 +336,17 @@ class TestSynthesizeTable:
         for g, w in zip(got.channels, want.channels, strict=True):
             assert g.amplitudes.tobytes() == w.amplitudes.tobytes()
 
-    @pytest.mark.parametrize("energy", [True, 0.3 + 0j], ids=["bool", "complex"])
+    @pytest.mark.parametrize(
+        "energy", [True, 0.3 + 0j, "0.25", None], ids=["bool", "complex", "str", "none"]
+    )
     def test_non_real_energy_is_the_tables_violation(self, energy):
         res, bg = simple_specs()
         message = re.escape(f"energy: must be a real number, got {energy!r}")
         with pytest.raises(TableValidationError, match=message):
             synthesize_table(res, bg, gauss_legendre_grid(4), energy, INITIAL, 0.5)
+        with pytest.raises(TableValidationError) as err:  # the scenario's basis path
+            read_scenario(FHD_SCENARIO).table_at(energy)
+        assert err.value.violations == [f"energy: must be a real number, got {energy!r}"]
 
     def test_basis_of_other_specs_rejected(self):
         res, bg = simple_specs()
@@ -399,6 +410,20 @@ class TestSpecRules:
 
 
 class TestBranching:
+    @staticmethod
+    def three_channel_spec(coupling_a: complex) -> ResonanceSpec:
+        """A spec whose channel B has zero coupling; channel C carries the nonzero one."""
+        exits = tuple(
+            ExitChannel(label, (ExitState(ChannelState(label, 0, 0, 0), g, (1.0,)),))
+            for label, g in (("A", coupling_a), ("B", 0.0), ("C", 1.0))
+        )
+        return ResonanceSpec(0.3, 0.01, (1.0, 1.0), exits)
+
+    def test_zero_denominator_flux_follows_the_quotient_rule(self):
+        assert resonance_branching_ratio(self.three_channel_spec(0.5), "A", "B") == math.inf
+        assert math.isnan(resonance_branching_ratio(self.three_channel_spec(0.0), "A", "B"))
+        assert resonance_branching_ratio(self.three_channel_spec(0.0), "B", "C") == 0.0
+
     def test_pure_pole_ratio_equals_branching(self, rng):
         res, bg = random_pure_resonance(rng)
         grid = gauss_legendre_grid(24)

@@ -166,6 +166,32 @@ class TestEnergyScan:
             energy_scan(cfg, [0.25, 1e305], PAIR)
         assert str(err.value).startswith("at energy 1e+305 eV: ")
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            (("D+HF",), "must hold exactly two labels, got ('D+HF',)"),
+            (("D+HF", "H+DF", "D+HF"),
+             "must hold exactly two labels, got ('D+HF', 'H+DF', 'D+HF')"),
+            ("DH", "must be a sequence of str, got 'DH'"),
+            (None, "must be a sequence of str, got None"),
+            (("D+HF", 5), "must be a sequence of str, got ('D+HF', 5)"),
+        ],
+        ids=["one", "three", "str", "none", "int-label"],
+    )
+    def test_channel_pair_is_two_labels_before_any_table(self, monkeypatch, pair, message):
+        """The pair is checked before any table is built, so no scan of a malformed pair
+        exists to write a partial CSV; the CSV header takes the same rule."""
+        cfg = read_scenario(FHD_SCENARIO)
+
+        def refuse(self, energy):
+            raise AssertionError("a table was built before the pair was checked")
+
+        monkeypatch.setattr(ScenarioConfig, "table_at", refuse)
+        for call in (lambda: energy_scan(cfg, ENERGIES, pair), lambda: scan_csv_header(pair)):
+            with pytest.raises(CohresError) as err:
+                call()
+            assert str(err.value) == f"channel_pair {message}"
+
     def test_row_error_is_chained_not_rewritten(self):
         cfg = read_scenario(FHD_SCENARIO)
         with np.errstate(over="ignore"), pytest.raises(CohresError) as err:
