@@ -4,7 +4,7 @@ Internal units everywhere: energies in eV, lengths in Angstrom, cross
 sections in A^2 (A^2/sr for angle-resolved), transition amplitudes in
 A*sr^(-1/2), angles in radians.  Two places convert angles and phases to
 degrees: the command-line layer (``cli``) and the scan CSV's
-``phi_at_rmin_deg``/``phi_at_rmax_deg`` columns (``scan._ScanColumns._csv_lines``).
+``phi_at_rmin_deg``/``phi_at_rmax_deg`` columns (``scan._csv_line``).
 
 Amplitudes are normalized so that |f|^2 is already a differential cross
 section; no wavenumber flux prefactors are applied anywhere.

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import TWO_PI
-from .core import _index, _real
+from .core import _index, _quotient, _real
 from .errors import CohresError, ZeroDenominatorError
 from .xsection import ControlParams, XsecMatrix, _form_terms, controlled_cross_section
 
@@ -178,13 +178,6 @@ def cross_section_extrema(m: XsecMatrix) -> ControlRange:
 def noncoherent_limits(m: XsecMatrix) -> tuple[float, float]:
     """Cross sections with no interference: the s = 0 and s = 1 endpoints."""
     return m.sigma11, m.sigma22
-
-
-def _quotient(n: float, d: float) -> float:
-    """n / d for cross sections n, d >= 0: +inf when only d is 0, nan when both are."""
-    if d == 0.0:
-        return math.inf if n > 0.0 else math.nan
-    return n / d
 
 
 def controlled_ratio(num: XsecMatrix, den: XsecMatrix, p: ControlParams) -> float:

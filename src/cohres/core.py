@@ -142,6 +142,13 @@ def _positive(x, what: str) -> float:
     raise NonPositiveError(f"{what} must be > 0, got {x!r}")
 
 
+def _quotient(n: float, d: float) -> float:
+    """n / d for cross sections n, d >= 0: +inf when only d is 0, nan when both are."""
+    if d == 0.0:
+        return math.inf if n > 0.0 else math.nan
+    return n / d
+
+
 def _grid_order(x, what: str) -> int:
     """The grid-order rule of grids and scenarios: an integer in [1, MAX_GRID_ORDER], as an int."""
     n = _index(x, what)

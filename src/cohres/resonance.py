@@ -27,9 +27,8 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .constants import HBAR_EV_FS, TWO_PI
-from .control import _quotient
 from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
-from .core import _complex, _finite, _instance, _items, _label, _positive, _real
+from .core import _complex, _finite, _instance, _items, _label, _positive, _quotient, _real
 from .errors import CohresError, SpecMismatchError, UnknownChannelError
 
 __all__ = [

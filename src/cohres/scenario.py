@@ -192,18 +192,20 @@ def _scenario_from_dict(doc: dict) -> ScenarioConfig:
     res_doc = _record(
         doc["resonance"], "resonance", ("epsilon_r_eV", "gamma_width_eV", "entrance", "exits")
     )
-    entrance = _array(res_doc["entrance"], "entrance")
+    entrance = _array(res_doc["entrance"], "resonance.entrance")
     resonance = ResonanceSpec(
-        epsilon_r=_typed(res_doc["epsilon_r_eV"], float, "epsilon_r_eV"),
-        gamma_width=_typed(res_doc["gamma_width_eV"], float, "gamma_width_eV"),
-        entrance=tuple(_cx(g, f"entrance[{i}]") for i, g in enumerate(entrance)),
+        epsilon_r=_typed(res_doc["epsilon_r_eV"], float, "resonance.epsilon_r_eV"),
+        gamma_width=_typed(res_doc["gamma_width_eV"], float, "resonance.gamma_width_eV"),
+        entrance=tuple(_cx(g, f"resonance.entrance[{i}]") for i, g in enumerate(entrance)),
         exits=_channels(res_doc["exits"], "resonance.exits", ExitChannel, _exit_state),
     )
     bg_doc = _record(doc["background"], "background", ("reference_energy_eV", "channels"))
     channels = _channels(
         bg_doc["channels"], "background.channels", BackgroundChannel, _background_state
     )
-    reference_energy = _typed(bg_doc["reference_energy_eV"], float, "reference_energy_eV")
+    reference_energy = _typed(
+        bg_doc["reference_energy_eV"], float, "background.reference_energy_eV"
+    )
     background = BackgroundSpec(reference_energy, channels)
     masses = _record(doc.get("masses_amu", {}), "masses_amu", ())
     return ScenarioConfig(

@@ -197,7 +197,7 @@ def table_from_json(text: str, where: str = "<string>") -> AmplitudeTable:
     with _reading(where):
         keys = ("nodes_rad", "weights_sr")
         grid_doc = _record(doc["angle_grid"], "angle_grid", keys)
-        grid = AngleGrid(*(_numbers(grid_doc[k], k) for k in keys))
+        grid = AngleGrid(*(_numbers(grid_doc[k], f"angle_grid.{k}") for k in keys))
         pair = tuple(
             _state_in(d, f"initial[{i}]") for i, d in enumerate(_array(doc["initial"], "initial"))
         )

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import math
+import platform
 import sys
 from dataclasses import replace
 
@@ -28,18 +30,11 @@ from cohres import (
     write_scan_csv,
 )
 from cohres.resonance import synthesis_basis
-from cohres.scan import _ScanColumns, scan_csv_header
+from cohres.scan import _scan_row, scan_csv_header
 from conftest import FHD_SCENARIO, INITIAL, direct_table, random_scenario
 
 PAIR = ("D+HF", "H+DF")
 ENERGIES = [0.25 + 0.005 * i for i in range(13)]
-
-
-def _scan_row(energy, matrices, pair):
-    """One energy's row, built as ``energy_scan`` builds each of its rows."""
-    cols = _ScanColumns(pair, tuple(matrices))
-    cols._append(energy, matrices)
-    return cols[0]
 
 
 def flat_scenario(slope_free=True):
@@ -420,18 +415,6 @@ class TestScanCsv:
             "R_nc",
         ]
 
-    def test_a_written_scan_builds_no_row(self, tmp_path, monkeypatch):
-        rows = energy_scan(read_scenario(FHD_SCENARIO), ENERGIES, PAIR)
-
-        def refuse(*args):
-            raise AssertionError("a ScanRow was built")
-
-        monkeypatch.setattr("cohres.scan.ScanRow", refuse)
-        write_scan_csv(rows, tmp_path / "scan.csv")
-        assert len(rows) == len(ENERGIES)
-        monkeypatch.undo()
-        assert [r.energy for r in rows] == ENERGIES
-
     def test_csv_round_trips_values(self, tmp_path):
         cfg = read_scenario(FHD_SCENARIO)
         rows = energy_scan(cfg, ENERGIES[:3], PAIR)
@@ -506,7 +489,7 @@ class TestScanCsv:
 
 
 class TestScanColumns:
-    """``energy_scan`` returns a read-only sequence that builds each row on first access."""
+    """``energy_scan`` returns a tuple of ``ScanRow``s, each a named tuple built per energy."""
 
     ENERGIES = [0.20 + 0.05 * k / 400 for k in range(401)]
 
@@ -522,24 +505,41 @@ class TestScanColumns:
         write_scan_csv(list(rows), by_row)
         assert by_column.read_bytes() == by_row.read_bytes() == reference_scan_csv(list(rows))
 
-    def test_indexing_slicing_and_iteration_are_a_lists(self, rows):
+    def test_slice_writes_its_lines_of_the_full_csv(self, tmp_path, rows):
+        full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+        write_scan_csv(rows, full)
+        write_scan_csv(rows[100:200], part)
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert part.read_bytes() == b"".join([lines[0], *lines[101:201]])
+
+    def test_indexing_slicing_and_iteration_are_a_tuples(self, rows):
         as_list = list(rows)
+        assert type(rows) is tuple
         assert len(rows) == len(as_list) == 401
         assert [r.energy for r in rows] == self.ENERGIES
         assert (rows[0], rows[-1], rows[-401]) == (as_list[0], as_list[-1], as_list[-401])
         for cut in (slice(1, 3), slice(None, None, -100), slice(5, 2), slice(-3, None)):
-            assert rows[cut] == as_list[cut]
+            assert type(rows[cut]) is tuple
+            assert rows[cut] == tuple(as_list[cut])
         assert list(reversed(rows)) == as_list[::-1]
         assert rows.index(as_list[200]) == 200
-        assert rows[7] is rows[7] is as_list[7]  # built once, then kept
+        assert rows[7] is rows[7] is as_list[7]
 
-    def test_compares_as_a_list(self, rows):
+    def test_compares_as_a_tuple(self, rows):
         again = energy_scan(read_scenario(FHD_SCENARIO), self.ENERGIES, PAIR)
-        assert rows == again and again == list(rows) and list(rows) == again
-        assert rows != again[:-1] and rows != tuple(rows) and rows != again[::-1]
+        assert rows == again and again == tuple(rows)
+        assert rows != list(rows) and rows != again[:-1] and rows != again[::-1]
         assert not (rows != again)
-        with pytest.raises(TypeError):
-            hash(rows)
+        assert hash(rows) == hash(again)
+
+    def test_a_row_refuses_attribute_assignment(self, rows):
+        row = rows[0]
+        for record, name in (
+            (row, "energy"), (row.ratio, "r_nc_min"), (row.channels[0], "schwartz")
+        ):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+        assert row._replace(energy=0.0).energy == 0.0 and row.energy == self.ENERGIES[0]
 
     def test_out_of_range_and_assignment_refused(self, rows):
         for i in (401, -402):
@@ -555,6 +555,32 @@ class TestScanColumns:
         for i in (0, 200, -1):
             (alone,) = energy_scan(cfg, [self.ENERGIES[i]], PAIR)
             assert repr(rows[i]) == repr(alone)
+
+
+# SHA-256 of write_scan_csv for fhd_like over np.linspace(0.20, 0.31, n), per pair order
+SCAN_CSV_SHA256 = {
+    (13, PAIR): "b405897039083474ea642661486c1149ac254f43e69981e6abca0753af4d07f1",
+    (13, PAIR[::-1]): "8310204ba94d8e8380a3fbac4ca8e663aa5ce015dbeb5085e7e7aebdc987a162",
+    (401, PAIR): "1e14e2ef26d0645eeeabefefb47839bac002c338880e26171bb4276e6e1b333d",
+    (401, PAIR[::-1]): "c2b1fc768e558aa8809749366e1aa99fcae21270db8686e8a9657435bd43b617",
+    (2001, PAIR): "b2f9eabda2fd3305763d3734b5552e11ab31549b9847edf1e994191fffdec5b6",
+    (2001, PAIR[::-1]): "7f74b4a50c5de5a4e304da7e3ac9ae71dc29f65fe272bde751febdba4ce4aed2",
+}
+HASH_PLATFORM = ((3, 11), "2.4.6", "x86_64")
+
+
+@pytest.mark.skipif(
+    (sys.version_info[:2], np.__version__, platform.machine()) != HASH_PLATFORM,
+    reason="the scan-CSV hashes were taken on Python 3.11, numpy 2.4.6, x86_64 only",
+)
+@pytest.mark.parametrize("n, pair", list(SCAN_CSV_SHA256), ids=str)
+def test_scan_csv_bytes_are_pinned(tmp_path, n, pair):
+    """The CSV bytes, from the scan and from a list of its rows, hash as first written."""
+    rows = energy_scan(read_scenario(FHD_SCENARIO), np.linspace(0.20, 0.31, n), pair)
+    for name, source in (("scan", rows), ("list", list(rows))):
+        path = tmp_path / f"{name}.csv"
+        write_scan_csv(source, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SCAN_CSV_SHA256[n, pair], name
 
 
 class TestCommittedScenarioRegression:

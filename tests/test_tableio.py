@@ -225,8 +225,10 @@ class TestTableErrors:
             (("energy_eV",), None, "energy_eV must be a number, got None"),
             (("channels", 0, "amplitudes", 3), True,
              "channels[0].amplitudes[3] must be a number, got True"),
-            (("angle_grid", "nodes_rad", 1), "0.5", "nodes_rad[1] must be a number, got '0.5'"),
-            (("angle_grid", "weights_sr"), "1", "weights_sr must be an array of numbers, got '1'"),
+            (("angle_grid", "nodes_rad", 1), "0.5",
+             "angle_grid.nodes_rad[1] must be a number, got '0.5'"),
+            (("angle_grid", "weights_sr"), "1",
+             "angle_grid.weights_sr must be an array of numbers, got '1'"),
             (("channels", 1, "arrangement"), None,
              "channels[1].arrangement must be a string, got None"),
             (("channels", 1, "arrangement"), 5, "channels[1].arrangement must be a string, got 5"),
@@ -562,7 +564,14 @@ class TestScenarioIo:
             (("masses_amu", "F"), "19", "masses_amu.F must be a number, got '19'"),
             (("resonance", "exits", 0, "states", 0, "shape", 0), True,
              "resonance.exits[0].states[0].shape[0] must be a number, got True"),
-            (("resonance", "entrance", 1, 1), "0.8", "entrance[1][1] must be a number, got '0.8'"),
+            (("resonance", "entrance", 1, 1), "0.8",
+             "resonance.entrance[1][1] must be a number, got '0.8'"),
+            (("resonance", "epsilon_r_eV"), "0.28",
+             "resonance.epsilon_r_eV must be a number, got '0.28'"),
+            (("resonance", "gamma_width_eV"), None,
+             "resonance.gamma_width_eV must be a number, got None"),
+            (("background", "reference_energy_eV"), True,
+             "background.reference_energy_eV must be a number, got True"),
             (("background", "channels", 0, "states", 1, "slope"), [1.0],
              "background.channels[0].states[1].slope must be [re, im], got [1.0]"),
             (("resonance", "exits", 1, "arrangement"), None,
@@ -588,6 +597,9 @@ class TestScenarioIo:
             "quoted-mass",
             "bool-shape",
             "quoted-entrance",
+            "quoted-epsilon",
+            "null-width",
+            "bool-reference-energy",
             "short-pair",
             "null-exit-label",
             "int-background-label",
@@ -647,7 +659,8 @@ class TestScenarioIo:
             (("resonance",), [], "TypeError: resonance must be an object, got []"),
             (("initial_pair",), {"a": 1},
              "TypeError: initial_pair must be an array, got {'a': 1}"),
-            (("resonance", "entrance"), {"a": 1}, "TypeError: entrance must be an array, got"),
+            (("resonance", "entrance"), {"a": 1},
+             "TypeError: resonance.entrance must be an array, got"),
             (("resonance", "gamma_width_eV"), None, "KeyError: 'resonance.gamma_width_eV'"),
         ],
         ids=["missing-label", "m-above-j", "negative-v", "bool-m", "empty-exit-label",
