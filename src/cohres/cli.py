@@ -44,7 +44,7 @@ from .xsection import cross_section_matrix, differential_matrix, schwartz_ratio
 __all__ = ["main", "build_parser"]
 
 MAX_ORACLE = 4096  # bounds time (N^2 lattice points); row blocks keep memory O(block * N)
-MAX_SCAN_ROWS = 10**6  # a scan row holds ~1.2 KB (tracemalloc), so ~1.2 GB at the cap
+MAX_SCAN_ROWS = 10**6  # a scan row holds ~1.1 KB (tracemalloc), so ~1.1 GB at the cap
 
 
 def _print_range(tag: str, rng) -> None:

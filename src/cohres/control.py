@@ -8,6 +8,15 @@ Rayleigh quotient c^H A c / c^H B c; its extrema are the two roots of
 det(A - lambda*B) = 0, with the denominator's null direction marking an
 unbounded ratio when B is singular and A is not proportional to B.
 
+Every extremum is reached by one rule.  With c = (sqrt(1 - s),
+sqrt(s) * exp(i*phi12)), (s, phi12) is a qubit's Bloch sphere: the unit
+vector n with n_z = 1 - 2s and azimuth phi12.  Then c^H M c = t + v.n,
+with t = (m11 + m22)/2 and v = (Re m12, -Im m12, (m11 - m22)/2) the Bloch
+vector of M = [[m11, m12], [conj(m12), m22]].  So a channel's minimum and
+maximum are at n = -v/|v| and +v/|v|, a ratio's at -w and +w for w the
+Bloch vector of A - lambda*B at its root, and a singular denominator's
+zero at -v_B (``_bloch_params``).
+
 Everything here is closed-form and deterministic.  ``lattice_extrema`` is
 the deliberately independent brute-force cross-check: it evaluates the
 objective on an (s, phi12) lattice and reports lattice extrema, nothing
@@ -16,7 +25,6 @@ more.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -44,7 +52,7 @@ _SAFE_LOW, _SAFE_HIGH = math.ldexp(1.0, -_SAFE_EXP), math.ldexp(1.0, _SAFE_EXP)
 _BLOCK_POINTS = 1 << 15  # lattice points per row block: ~256 KB per float64 array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlRange:
     """Extrema of a control objective with the parameters achieving them.
 
@@ -77,16 +85,20 @@ class ControlRange:
         return math.hypot(ds, dphi)
 
 
-def _params_from_vector(c1: complex, c2: complex) -> ControlParams:
-    scale = max(abs(c1), abs(c2))
-    if scale == 0.0:
+def _bloch_params(m11: float, m22: float, m12: complex, sign: float) -> ControlParams:
+    """The point n = sign * v/|v| (module docstring): c^H M c is greatest at +1, least at -1.
+
+    s = (1 - n_z)/2 is formed as (rho/r) * (rho/(r + z)) / 2 where z > 0, so
+    a small s keeps its relative accuracy; phi12 is 0 on the axis (rho = 0),
+    and v = 0 gives (0, 0).  hypot, ratios and atan2 need no rescaling.
+    """
+    x, y, z = sign * m12.real, -sign * m12.imag, sign * 0.5 * (m11 - m22)
+    r = math.hypot(x, y, z)
+    if r == 0.0:
         return ControlParams(0.0, 0.0)
-    c1, c2 = c1 / scale, c2 / scale  # keeps |c|^2 away from underflow
-    n1 = abs(c1) ** 2
-    n2 = abs(c2) ** 2
-    s = min(n2 / (n1 + n2), 1.0)
-    phi = 0.0 if c1 == 0 else cmath.phase(c2 / c1)
-    return ControlParams(s=s, phi12=phi)
+    rho = math.hypot(x, y)
+    s = 0.5 * (rho / r) * (rho / (r + z)) if z > 0.0 else 0.5 * (1.0 - z / r)
+    return ControlParams(s, math.atan2(y, x) if rho else 0.0)
 
 
 def _scaled(m: XsecMatrix) -> tuple[XsecMatrix, int]:
@@ -121,58 +133,36 @@ def _unscale(x: float, k: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _scaled_eigenvalues(m: XsecMatrix) -> tuple[XsecMatrix, float, float, tuple[float, float]]:
-    """``_scaled(m)``'s matrix, its (lambda_min, lambda_max), and ``m``'s own.
+def _eigenvalues(m: XsecMatrix) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the interference matrix.
 
     lambda_-+ = (T -+ sqrt(T^2 - 4D))/2 with T the trace and D the
-    determinant.  lambda_min is computed as D / lambda_max, which avoids
-    the cancellation in (T - sqrt(...))/2 and preserves the sum and
-    product identities to machine precision.
+    determinant, of ``_scaled(m)``'s matrix, then unscaled (``_unscale``).
+    lambda_min is computed as D / lambda_max, which avoids the cancellation
+    in (T - sqrt(...))/2 and preserves the sum and product identities to
+    machine precision.
     """
     s, k = _scaled(m)
     disc_sq = (s.sigma11 - s.sigma22) ** 2 + 4.0 * abs(s.sigma12) ** 2
     lam_max = 0.5 * (s.trace + math.sqrt(disc_sq))
     lam_min = s.det / lam_max if lam_max > 0.0 else 0.0
-    return s, lam_min, lam_max, (_unscale(lam_min, k), _unscale(lam_max, k))
-
-
-def _eigenvalues(m: XsecMatrix) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of the interference matrix (``_scaled_eigenvalues``)."""
-    return _scaled_eigenvalues(m)[3]
+    return _unscale(lam_min, k), _unscale(lam_max, k)
 
 
 def cross_section_extrema(m: XsecMatrix) -> ControlRange:
     """Exact controllable range of one channel's cross section.
 
     The bounds are the eigenvalues of the interference matrix
-    (``_eigenvalues``); the achieving (s, phi12) span the null space of
-    M - lambda*I.  A matrix of extreme scale is solved scaled by an exact
-    power of two (``_scaled``), so its range is the scaled one's times the
-    inverse power.
+    (``_eigenvalues``), reached at minus and plus its Bloch vector
+    (``_bloch_params``).  An identity-proportional matrix, which has none,
+    is flagged ``degenerate``.
     """
-    m, lam_min, lam_max, (lo, hi) = _scaled_eigenvalues(m)
-
-    if m.sigma12 == 0:
-        if m.sigma11 == m.sigma22:
-            return ControlRange(
-                min_value=lo,
-                max_value=hi,
-                params_at_min=ControlParams(0.0, 0.0),
-                params_at_max=ControlParams(1.0, 0.0),
-                degenerate=True,
-            )
-        if m.sigma11 < m.sigma22:
-            p_min, p_max = ControlParams(0.0, 0.0), ControlParams(1.0, 0.0)
-        else:
-            p_min, p_max = ControlParams(1.0, 0.0), ControlParams(0.0, 0.0)
-        return ControlRange(lo, hi, p_min, p_max)
-
-    return ControlRange(
-        min_value=lo,
-        max_value=hi,
-        params_at_min=_null_params(m.sigma11 - lam_min, m.sigma22 - lam_min, m.sigma12),
-        params_at_max=_null_params(m.sigma11 - lam_max, m.sigma22 - lam_max, m.sigma12),
-    )
+    lo, hi = _eigenvalues(m)
+    if m.sigma12 == 0 and m.sigma11 == m.sigma22:
+        corners = ControlParams(0.0, 0.0), ControlParams(1.0, 0.0)
+        return ControlRange(lo, hi, *corners, degenerate=True)
+    p_min, p_max = (_bloch_params(m.sigma11, m.sigma22, m.sigma12, sign) for sign in (-1.0, 1.0))
+    return ControlRange(lo, hi, p_min, p_max)
 
 
 def noncoherent_limits(m: XsecMatrix) -> tuple[float, float]:
@@ -183,18 +173,6 @@ def noncoherent_limits(m: XsecMatrix) -> tuple[float, float]:
 def controlled_ratio(num: XsecMatrix, den: XsecMatrix, p: ControlParams) -> float:
     """num/den at one control point: +inf where only den vanishes, nan where both do."""
     return _quotient(controlled_cross_section(num, p), controlled_cross_section(den, p))
-
-
-def _null_params(m11: float, m22: float, m12: complex) -> ControlParams:
-    """Control parameters along the null direction of a singular 2x2 Hermitian."""
-    # pick the row with the larger norm for conditioning
-    r1 = abs(m11) ** 2 + abs(m12) ** 2
-    r2 = abs(m12) ** 2 + abs(m22) ** 2
-    if r1 >= r2:
-        c1, c2 = m12, complex(-m11)
-    else:
-        c1, c2 = complex(m22), -m12.conjugate()
-    return _params_from_vector(c1, c2)
 
 
 def ratio_extrema(
@@ -254,14 +232,16 @@ def ratio_extrema(
     # m = tr(adj(B) A), the middle coefficient of det(A - lambda*B)
     mid = a11 * b22 + a22 * b11 - 2.0 * (a12 * b12.conjugate()).real
 
+    def at(lam: float, sign: float) -> ControlParams:
+        return _bloch_params(a11 - lam * b11, a22 - lam * b22, a12 - lam * b12, sign)
+
     if det_b <= tol_singular * tr_b**2:
         lam_min = det_a / mid
-        p_min = _null_params(a11 - lam_min * b11, a22 - lam_min * b22, a12 - lam_min * b12)
         return ControlRange(
             min_value=_unscale(lam_min, k),
             max_value=math.inf,
-            params_at_min=p_min,
-            params_at_max=_null_params(b11, b22, b12),
+            params_at_min=at(lam_min, -1.0),
+            params_at_max=_bloch_params(b11, b22, b12, -1.0),
             unbounded_max=True,
         )
 
@@ -272,8 +252,8 @@ def ratio_extrema(
     return ControlRange(
         min_value=_unscale(lam_min, k),
         max_value=_unscale(lam_max, k),
-        params_at_min=_null_params(a11 - lam_min * b11, a22 - lam_min * b22, a12 - lam_min * b12),
-        params_at_max=_null_params(a11 - lam_max * b11, a22 - lam_max * b22, a12 - lam_max * b12),
+        params_at_min=at(lam_min, -1.0),
+        params_at_max=at(lam_max, 1.0),
     )
 
 

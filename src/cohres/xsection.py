@@ -47,7 +47,7 @@ def _reduce_phase(phi: float) -> float:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlParams:
     """A point in control space: relative weight s and relative phase phi12.
 
@@ -73,7 +73,7 @@ class ControlParams:
         return c1, c2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XsecMatrix:
     """2x2 Hermitian interference matrix for one product arrangement.
 

@@ -2,6 +2,8 @@ import cmath
 import math
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +110,27 @@ class TestCrossSectionExtrema:
             assert (ext.min_value <= 1e-10 * m.trace) == saturated
 
 
+class TestBlochParams:
+    """``control._bloch_params``: the point at minus or plus a Bloch vector."""
+
+    def test_the_zero_vector_gives_the_origin(self):
+        for sign in (-1.0, 1.0):
+            assert control._bloch_params(0.5, 0.5, 0j, sign) == ControlParams(0.0, 0.0)
+
+    @pytest.mark.parametrize("d", [1e-5, 1e-10, 1e-150])
+    def test_a_small_s_keeps_its_relative_accuracy(self, d):
+        # M = [[1, d], [d, 0]] is greatest at s = (1 - z/r)/2 = d^2/(2r(r + z)),
+        # z = 1/2, r = sqrt(d^2 + 1/4): about d^2, which 1 - z/r would round to 0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            dd = Decimal(d)
+            r = (dd * dd + Decimal("0.25")).sqrt()
+            want = dd * dd / (2 * r * (r + Decimal("0.5")))
+        got = control._bloch_params(1.0, 0.0, complex(d), 1.0)
+        assert abs(Decimal(got.s) - want) <= 2 * Decimal(sys.float_info.epsilon) * want
+        assert got.phi12 == 0.0
+
+
 class TestRatioExtrema:
     def test_shared_rank_one_is_degenerate(self):
         g = np.array([1.0, 1.0j])
@@ -117,6 +140,19 @@ class TestRatioExtrema:
         rr = ratio_extrema(num, den)
         assert rr.degenerate
         assert rr.min_value == rr.max_value == pytest.approx(4.0, rel=1e-14)
+
+    @pytest.mark.parametrize("above", [False, True], ids=["at", "one-float-above"])
+    def test_degenerate_threshold_is_set_by_kappa_times_the_largest_den_entry(self, above):
+        # kappa = 3/3 = 1, so kappa*b11 = 2 sets the scale alone: every entry of A is
+        # below it.  The deviation is |a12|, at DEGENERATE_TOL * 2 and one float above.
+        at = 2.0 * control.DEGENERATE_TOL
+        a12 = math.nextafter(at, math.inf) if above else at
+        num = sched(2.0 - 2.0**-39, 1.0 + 2.0**-39, a12, "A")
+        den = sched(2.0, 1.0, 0.0, "B")
+        rr = ratio_extrema(num, den)
+        assert rr.degenerate is not above
+        if not above:
+            assert rr.min_value == rr.max_value == 1.0
 
     def test_diagonal_ratio(self):
         rr = ratio_extrema(sched(1.0, 4.0, 0.0), sched(1.0, 1.0, 0.0))
@@ -294,8 +330,8 @@ class TestScaleBeforeSolving:
         assert control._eigenvalues(m) == (lam_min, lam_max)
         got = cross_section_extrema(m)
         assert (got.min_value, got.max_value) == (lam_min, lam_max)
-        assert got.params_at_min == control._null_params(s11 - lam_min, s22 - lam_min, s12)
-        assert got.params_at_max == control._null_params(s11 - lam_max, s22 - lam_max, s12)
+        assert got.params_at_min == control._bloch_params(s11, s22, s12, -1.0)
+        assert got.params_at_max == control._bloch_params(s11, s22, s12, 1.0)
 
     def test_ratio_beyond_the_doubles_saturates(self):
         a, b = sched(2.0, 1.0, 0.5 + 0.5j, "A"), sched(1.0, 3.0, 0.25, "B")
@@ -546,3 +582,87 @@ def test_extrema_bracket_every_evaluation(a, b, rho, arg):
         for phi in (0.0, 1.0, 3.0, 5.0):
             v = controlled_cross_section(m, ControlParams(s, phi))
             assert ext.min_value - 1e-10 * m.trace <= v <= ext.max_value + 1e-10 * m.trace
+
+
+EPS = Fraction(sys.float_info.epsilon)
+
+
+@st.composite
+def psd_matrices(draw, channel):
+    """A PSD matrix: random, near rank one, rank one or diagonal, times 2**k."""
+    s11 = draw(st.floats(1e-3, 1e3))
+    s22 = draw(st.floats(1e-3, 1e3).filter(lambda s22: s22 != s11))
+    kind = draw(st.sampled_from(["random", "near rank one", "rank one", "diagonal"]))
+    if kind == "random":
+        rho = draw(st.floats(0.0, 1.0))
+    elif kind == "near rank one":  # det/tr^2 = q
+        q = 10.0 ** draw(st.floats(-12.0, -2.0))
+        rho = math.sqrt(max(0.0, 1.0 - q * (s11 + s22) ** 2 / (s11 * s22)))
+    else:
+        rho = 1.0 if kind == "rank one" else 0.0
+    s12 = rho * math.sqrt(s11 * s22) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return sched(*_times(sched(s11, s22, s12), draw(st.integers(-400, 400))), channel)
+
+
+def _entries(m: XsecMatrix, lam: float = 0.0, by: XsecMatrix | None = None) -> tuple:
+    """Exact (x11, x22, Re x12, Im x12) of M, or of M - lam*by."""
+    x = [Fraction(v) for v in (m.sigma11, m.sigma22, m.sigma12.real, m.sigma12.imag)]
+    if by is not None:
+        x = [a - Fraction(lam) * b for a, b in zip(x, _entries(by))]
+    return tuple(x)
+
+
+def _form(x: tuple, p: ControlParams) -> tuple[Fraction, Fraction]:
+    """(c^H X c, c^H c), exact, at the point's own float coefficients c."""
+    x11, x22, re12, im12 = x
+    c1, c2 = p.coefficients()
+    c1, u, v = Fraction(c1), Fraction(c2.real), Fraction(c2.imag)
+    cross = 2 * c1 * (re12 * u - im12 * v)  # 2 Re(conj(c1) x12 c2)
+    return c1 * c1 * x11 + (u * u + v * v) * x22 + cross, c1 * c1 + u * u + v * v
+
+
+def _shortfall(x: tuple, p: ControlParams, sign: int) -> Fraction:
+    """How far X's Rayleigh quotient at the point falls short of its extreme eigenvalue.
+
+    That is X's greatest (``sign`` = +1) or least (-1) eigenvalue t +- |w|,
+    exact but for |w|, a square root taken to 100 digits.
+    """
+    x11, x22, re12, im12 = x
+    w2 = re12 * re12 + im12 * im12 + (x11 - x22) ** 2 / 4
+    with localcontext() as ctx:
+        ctx.prec = 100
+        w = Fraction(Decimal(w2.numerator).sqrt() / Decimal(w2.denominator).sqrt())
+    form, norm = _form(x, p)
+    return sign * ((x11 + x22) / 2 + sign * w - form / norm)
+
+
+@given(num=psd_matrices("A"), den=psd_matrices("B"))
+@settings(max_examples=300, deadline=None)
+def test_each_reported_point_reaches_its_extremum(num, den):
+    """Each control point, evaluated exactly, gives its extremum within 4 eps.
+
+    A channel's point gives the reported eigenvalue.  A ratio's value has
+    an error of its own, far above eps where the pencil's two roots nearly
+    meet or both matrices are nearly rank one along one direction, which
+    its point cannot mend.  So a ratio extremum's point is held to what it
+    is computed from: the least (greatest) value of c^H (A - lambda*B) c
+    at the reported lambda, and a singular denominator's witness to the
+    least value of c^H B c.
+    """
+    for m in (num, den):
+        ext = cross_section_extrema(m)
+        for lam, p in ((ext.min_value, ext.params_at_min), (ext.max_value, ext.params_at_max)):
+            form, _ = _form(_entries(m), p)
+            assert abs(form - Fraction(lam)) <= 4 * EPS * Fraction(m.trace)
+    rr = ratio_extrema(num, den)
+    if rr.degenerate:
+        return
+    tr_a, tr_b = Fraction(num.trace), Fraction(den.trace)
+    points = [(rr.min_value, rr.params_at_min, -1)]
+    if rr.unbounded_max:
+        assert _shortfall(_entries(den), rr.params_at_max, -1) <= 4 * EPS * tr_b
+    else:
+        points.append((rr.max_value, rr.params_at_max, 1))
+    for lam, p, sign in points:
+        x = _entries(num, lam, den)
+        assert _shortfall(x, p, sign) <= 4 * EPS * (tr_a + abs(Fraction(lam)) * tr_b)

@@ -559,12 +559,12 @@ class TestScanColumns:
 
 # SHA-256 of write_scan_csv for fhd_like over np.linspace(0.20, 0.31, n), per pair order
 SCAN_CSV_SHA256 = {
-    (13, PAIR): "b405897039083474ea642661486c1149ac254f43e69981e6abca0753af4d07f1",
-    (13, PAIR[::-1]): "8310204ba94d8e8380a3fbac4ca8e663aa5ce015dbeb5085e7e7aebdc987a162",
-    (401, PAIR): "1e14e2ef26d0645eeeabefefb47839bac002c338880e26171bb4276e6e1b333d",
-    (401, PAIR[::-1]): "c2b1fc768e558aa8809749366e1aa99fcae21270db8686e8a9657435bd43b617",
-    (2001, PAIR): "b2f9eabda2fd3305763d3734b5552e11ab31549b9847edf1e994191fffdec5b6",
-    (2001, PAIR[::-1]): "7f74b4a50c5de5a4e304da7e3ac9ae71dc29f65fe272bde751febdba4ce4aed2",
+    (13, PAIR): "1dd1f175c62be560fc892c689e88fb9026890a2ee0aef9dee668a9466596338b",
+    (13, PAIR[::-1]): "649e9817c3b2ab468647cbd86073f33314f837130ccd0b064eb8e61b186f58a0",
+    (401, PAIR): "48e7fb2a50e48e75dd08836adeadcdab5dc4350ef4dbaeb4894803bff7e41a90",
+    (401, PAIR[::-1]): "fed7b3131974b38266e5bdcf590bab07615af732d861675b7371926caa7d188e",
+    (2001, PAIR): "20e22b4eff5cdfbbd24b6ff870b9c4ba3139f22ec2a893283672af5a2c78c1cd",
+    (2001, PAIR[::-1]): "0bace5846a7984a848f70fc6e7ae0105f16f0fc435d99e5269a51b2fb6217fa6",
 }
 HASH_PLATFORM = ((3, 11), "2.4.6", "x86_64")
 
@@ -575,7 +575,7 @@ HASH_PLATFORM = ((3, 11), "2.4.6", "x86_64")
 )
 @pytest.mark.parametrize("n, pair", list(SCAN_CSV_SHA256), ids=str)
 def test_scan_csv_bytes_are_pinned(tmp_path, n, pair):
-    """The CSV bytes, from the scan and from a list of its rows, hash as first written."""
+    """The CSV bytes, from the scan and from a list of its rows, hash as pinned."""
     rows = energy_scan(read_scenario(FHD_SCENARIO), np.linspace(0.20, 0.31, n), pair)
     for name, source in (("scan", rows), ("list", list(rows))):
         path = tmp_path / f"{name}.csv"

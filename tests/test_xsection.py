@@ -336,6 +336,8 @@ CONSTRUCTOR_CASES = [
     # both fields are taken as real numbers before either range is checked
     (ControlParams, (2.0, "0"), "phi12 must be a real number, got '0'"),
     (ControlParams, ("1", "0"), "s must be a real number, got '1'"),
+    # fmod(-1e-20, 2pi) + 2pi rounds to 2pi itself, which wraps to 0
+    (ControlParams, (0.5, -1e-20), {"s": (float, "0.5"), "phi12": (float, "0.0")}),
 ]
 
 
