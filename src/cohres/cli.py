@@ -34,9 +34,9 @@ from .control import (
     noncoherent_limits,
     ratio_extrema,
 )
-from .core import _quotient
+from .core import _check_energies, _quotient
 from .errors import CohresError, TableValidationError
-from .scan import _check_energies, energy_scan, write_scan_csv
+from .scan import energy_scan, write_scan_csv
 from .scenario import read_scenario
 from .tableio import _fmt, read_table, write_table
 from .xsection import cross_section_matrix, differential_matrix, schwartz_ratio

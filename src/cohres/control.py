@@ -171,7 +171,7 @@ def noncoherent_limits(m: XsecMatrix) -> tuple[float, float]:
 
 
 def controlled_ratio(num: XsecMatrix, den: XsecMatrix, p: ControlParams) -> float:
-    """num/den at one control point: +inf where only den vanishes, nan where both do."""
+    """num/den at one control point, the quotient of ``core._quotient``."""
     return _quotient(controlled_cross_section(num, p), controlled_cross_section(den, p))
 
 
@@ -197,7 +197,8 @@ def ratio_extrema(
     A matrix of extreme scale is solved scaled by an exact power of two
     (``_scaled``); the ratio's values are unscaled, and its parameters do
     not depend on the scale.  Raises ZeroDenominatorError when
-    trace(B) == 0, CohresError unless ``tol_singular`` is a finite real >= 0.
+    trace(B) == 0.  ``tol_singular`` is taken by ``core._real`` and must be
+    finite and >= 0, else CohresError.
     """
     if not 0.0 <= (tol_singular := _real(tol_singular, "tol_singular")) < math.inf:
         raise CohresError(f"tol_singular must be a finite number >= 0, got {tol_singular!r}")
@@ -265,9 +266,9 @@ def lattice_extrema(
 ) -> ControlRange:
     """Brute-force extrema on an (s, phi12) lattice of ``n_s`` x ``n_phi`` points.
 
-    Each size is an integer of at least 2 (``core._index``: a NumPy
-    integer is one, a bool is not).  The lattice contains both s endpoints and excludes phi = 2*pi
-    (periodic).  Ties resolve to the lexicographically smallest (s, phi).
+    Each size is taken by ``core._index`` and must be at least 2.  The
+    lattice contains both s endpoints and excludes phi = 2*pi (periodic).
+    Ties resolve to the lexicographically smallest (s, phi).
     For ratio objectives, lattice points whose denominator is at most
     ``DENOM_FLOOR`` times its larger diagonal (whose row, s = 0 or 1, thus
     always stays) are skipped and counted in ``skipped_points``.  Each point

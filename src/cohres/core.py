@@ -10,14 +10,14 @@ on the first ``differential_matrix`` of it, and keeps them read-only;
 from Python 3.12 ``cached_property`` takes no lock, so concurrent first
 calls can at worst compute the same values twice.
 
-Tables are restricted to azimuthally symmetric scattering: the two initial
-states must carry the same helicity label m, otherwise the products would
-acquire an azimuthal dependence that a polar-only grid cannot represent.
+Tables are restricted to azimuthally symmetric scattering, so
+``_pair_violations`` refuses two initial states of different helicity m:
+their products would acquire an azimuthal dependence that a polar-only
+grid cannot represent.
 
-A table is checked when it is built, whether by hand, by the table reader
-or by the synthesizer: :class:`AmplitudeTable` raises
-:class:`TableValidationError` listing every violated invariant, a
-mixed-m pair among them, so every table that exists is valid.
+A table is checked when it is built, by hand, by the table reader or by
+the synthesizer, so every table that exists is valid.  The argument rules
+are functions here, one per rule (README's input-rule table).
 """
 
 from __future__ import annotations
@@ -149,6 +149,33 @@ def _quotient(n: float, d: float) -> float:
     return n / d
 
 
+def _check_energies(energies) -> list[float]:
+    """The rule for a scan's energies, which ``cohres scan`` checks before reading:
+    a nonempty, strictly increasing list of finite plain floats (``_real``, ``_finite``)."""
+    energies = [_finite(_real(e, "energies"), "energies") for e in energies]
+    if not energies:
+        raise CohresError("energies must be nonempty")
+    if any(b <= a for a, b in zip(energies, energies[1:])):
+        raise CohresError("energies must be strictly increasing")
+    return energies
+
+
+def _channel_pair(pair) -> tuple[str, str]:
+    """The rule for a scan's channel pair: exactly two labels, as a tuple (``_items``)."""
+    pair = _items(pair, "channel_pair", str)
+    if len(pair) != 2:
+        raise CohresError(f"channel_pair must hold exactly two labels, got {pair!r}")
+    return pair
+
+
+def _shape(shape) -> tuple[float, ...]:
+    """A Legendre shape: a non-empty tuple of finite floats (``_items``, ``_real``, ``_finite``)."""
+    shape = tuple(_finite(_real(c, "shape"), "shape") for c in _items(shape, "shape"))
+    if not shape:
+        raise CohresError("angular shape needs at least one Legendre coefficient")
+    return shape
+
+
 def _grid_order(x, what: str) -> int:
     """The grid-order rule of grids and scenarios: an integer in [1, MAX_GRID_ORDER], as an int."""
     n = _index(x, what)
@@ -196,8 +223,8 @@ def _channel_violations(channels) -> list[str]:
 class ChannelState:
     """One asymptotic scattering state: arrangement label plus (v, j, m).
 
-    ``arrangement`` is stored as a plain non-empty str (see ``_label``), and
-    ``v``, ``j`` and ``m`` as plain ints (see ``_index``).
+    ``arrangement`` is taken by ``_label`` and ``v``, ``j`` and ``m`` by
+    ``_index``; then v, j >= 0 and |m| <= j.
     """
 
     arrangement: str
@@ -241,7 +268,7 @@ class AngleGrid:
         return self.nodes.size
 
     def nearest_node(self, theta: float) -> int:
-        """Index of the node closest to ``theta`` (radians), a finite real number."""
+        """Index of the node closest to ``theta`` (radians; ``_real``, ``_finite``)."""
         theta = _finite(_real(theta, "theta"), "theta")
         return int(np.argmin(np.abs(self.nodes - theta)))
 
@@ -284,6 +311,7 @@ def gauss_legendre_grid(order: int) -> AngleGrid:
     """Gauss-Legendre grid in cos(theta) with weights summing to 4*pi.
 
     Exact for integrands polynomial in cos(theta) up to degree 2*order - 1.
+    ``order`` is taken by ``_grid_order``.
     """
     x, w = leggauss(_grid_order(order, "grid order"))
     theta = np.arccos(x)[::-1]  # arccos is decreasing; reverse for increasing theta
@@ -299,8 +327,8 @@ class ChannelBlock:
     at angle node k from initial state i (column 0 or 1), in A*sr^(-1/2).
     They are stored as a read-only C-contiguous copy, so a block's Grams do
     not depend on the memory layout of the caller's array, which stays theirs.
-    ``arrangement`` is a plain non-empty str, as in ``ChannelState``, and
-    ``states`` a tuple of ``ChannelState`` (see ``_items``).
+    ``arrangement`` is taken by ``_label``, and ``states``, of
+    ``ChannelState``, by ``_items``.
     """
 
     arrangement: str
@@ -333,13 +361,12 @@ class AmplitudeTable:
 
     The constructor checks every table invariant and raises
     TableValidationError with one message per violation, in the order:
-    initial pair, energy, grid, channel labels, then each block's
-    amplitudes.  A block whose amplitude shape is wrong gets no finiteness
-    check.  ``energy`` is stored as a float; a bool or a value that is not a
-    real number is a violation (see ``_real``).  A malformed container field
-    is no violation but a CohresError that names it, raised first:
-    ``initial_pair`` and ``channels`` are stored as tuples of their record
-    kind (``_items``), and ``grid`` must be an ``AngleGrid`` (``_instance``).
+    initial pair (``_pair_violations``), energy, grid, channel labels
+    (``_channel_violations``), then each block's amplitudes.  A block whose
+    amplitude shape is wrong gets no finiteness check.  ``energy`` is taken
+    by ``_real``, whose refusal is listed as a violation.  ``initial_pair``
+    and ``channels`` are taken by ``_items`` and ``grid`` by ``_instance``,
+    whose refusal is raised first, not listed.
     """
 
     energy: float
@@ -429,16 +456,16 @@ def kinematic_pair(e1: float, e2: float, Ek1: float, mu: float) -> Superposition
     e1, e2 : float
         Internal energies of the two initial states (eV).
     Ek1 : float
-        Relative kinetic energy of component 1 (eV), > 0.
+        Relative kinetic energy of component 1 (eV).
     mu : float
-        Collision reduced mass (amu), > 0.
+        Collision reduced mass (amu).
 
     Raises
     ------
     CohresError
-        Unless e1 and e2 are finite real numbers.
+        If ``_real`` or ``_finite`` refuses e1 or e2.
     NonPositiveError
-        Unless Ek1 and mu are finite real numbers > 0.
+        If ``_positive`` refuses Ek1 or mu.
     ChannelClosedError
         If component 2 would be left with no kinetic energy
         (Ek1 + e1 <= e2).

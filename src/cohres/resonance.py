@@ -27,8 +27,8 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from .constants import HBAR_EV_FS, TWO_PI
-from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState
-from .core import _complex, _finite, _instance, _items, _label, _positive, _quotient, _real
+from .core import AmplitudeTable, AngleGrid, ChannelBlock, ChannelState, _complex, _finite
+from .core import _instance, _items, _label, _positive, _quotient, _real, _shape
 from .errors import CohresError, SpecMismatchError, UnknownChannelError
 
 __all__ = [
@@ -48,20 +48,12 @@ __all__ = [
 ]
 
 
-def _shape(shape) -> tuple[float, ...]:
-    """A Legendre shape as a non-empty tuple of finite floats (``core._real``, ``_finite``)."""
-    shape = tuple(_finite(_real(c, "shape"), "shape") for c in _items(shape, "shape"))
-    if not shape:
-        raise CohresError("angular shape needs at least one Legendre coefficient")
-    return shape
-
-
 @dataclass(frozen=True)
 class ExitState:
     """Decay of the intermediate into one final state.
 
     ``shape`` holds real Legendre coefficients in cos(theta) describing the
-    angular distribution of the decay amplitude.
+    angular distribution of the decay amplitude (``core._shape``).
     """
 
     state: ChannelState
@@ -91,9 +83,9 @@ class ResonanceSpec:
     ``entrance`` couples the intermediate to the two initial states;
     ``exits`` list, per product arrangement, the final states it decays
     into.  The complex resonance energy is eps_r - i*Gamma/2 (decaying
-    state, lower half plane).  Every number is stored plain and finite
-    (see ``core._real``, ``_complex`` and ``_finite``), and ``gamma_width``
-    is > 0 (``core._positive``).
+    state, lower half plane).  ``epsilon_r`` is taken by ``core._real`` and
+    ``_finite``, ``gamma_width`` by ``core._positive``, ``entrance`` by
+    ``core._items`` and ``_complex``, and ``exits`` by ``core._items``.
     """
 
     epsilon_r: float
@@ -206,7 +198,7 @@ def breit_wigner_factor(energy: float, spec: ResonanceSpec) -> complex:
 def width_from_lifetime(tau_fs: float) -> float:
     """Total width Gamma = hbar / tau, tau in femtoseconds, Gamma in eV.
 
-    NonPositiveError unless ``tau_fs`` is a finite real number > 0 (``core._positive``).
+    ``tau_fs`` is taken by ``core._positive``.
     """
     return HBAR_EV_FS / _positive(tau_fs, "lifetime")
 
@@ -214,7 +206,7 @@ def width_from_lifetime(tau_fs: float) -> float:
 def lifetime_from_width(gamma_ev: float) -> float:
     """Lifetime tau = hbar / Gamma, Gamma in eV, tau in femtoseconds.
 
-    NonPositiveError unless ``gamma_ev`` is a finite real number > 0 (``core._positive``).
+    ``gamma_ev`` is taken by ``core._positive``.
     """
     return HBAR_EV_FS / _positive(gamma_ev, "width")
 
@@ -223,8 +215,7 @@ def legendre_shape_norm(shape: tuple[float, ...] | list[float]) -> float:
     """Solid-angle norm of a Legendre shape: integral of |shape(cos theta)|^2.
 
     Orthogonality gives 2*pi * sum_l c_l^2 * 2/(2l+1) exactly.  ``shape``
-    follows a spec's shape rule: at least one coefficient, each a finite
-    real number.
+    is taken by ``core._shape``, as a spec's is.
     """
     return TWO_PI * sum(c * c * 2.0 / (2 * l + 1) for l, c in enumerate(_shape(shape)))
 
@@ -235,8 +226,8 @@ def resonance_branching_ratio(spec: ResonanceSpec, channel_a: str, channel_b: st
     sum_n |coupling_n|^2 * norm(shape_n) over channel_a divided by the same
     over channel_b.  For purely pole-mediated scattering this is the exact
     cross-section ratio, independent of energy and of the control
-    parameters.  A zero flux into channel_b makes the ratio +inf, or nan
-    if channel_a's flux is zero too, as every cross-section ratio here.
+    parameters.  The quotient is ``core._quotient``'s, as every
+    cross-section ratio here.
     """
 
     def flux(label: str) -> float:
@@ -279,11 +270,9 @@ def synthesize_table(
     with bw the Breit-Wigner factor, bg_n(E) the linear-in-energy direct
     amplitude and w_i the per-column background weights.  ``mix`` = 1 gives
     a purely pole-mediated (factorized) table, ``mix`` = 0 a purely direct
-    one.  Resonance and background must cover identical channel and state
-    lists (SpecMismatchError otherwise), and ``mix`` must be a real number
-    in [0, 1].  ``energy`` is taken as a plain float before any arithmetic;
-    any other energy, a bool, a str, None or a complex among them, raises
-    the table's TableValidationError, listing that energy.
+    one.  The specs and ``mix`` are checked by ``_check_specs``.  ``energy``
+    is taken by ``core._real`` before any arithmetic; an energy it refuses
+    is listed in the table's TableValidationError.
 
     Every table is combined by one formula, bw(E)*P + D + (E - E_ref)*S,
     from the energy-independent terms of ``synthesis_basis``.  A caller
@@ -329,8 +318,8 @@ def synthesis_basis(
     the pole term P, the direct term at the reference energy D and the
     direct slope S, stacked.  ``synthesize_table`` combines every table
     from it; passed as its ``basis=``, it is computed once for a whole
-    scan.  Channels follow ``res.exits``; the ``mix`` and coverage checks
-    are those of ``synthesize_table``.
+    scan.  Channels follow ``res.exits``; the specs and ``mix`` are checked
+    by ``_check_specs``.
     """
     mix = _check_specs(res, bg, mix)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .control import ControlRange, _eigenvalues, ratio_extrema
-from .core import _finite, _items, _quotient, _real
+from .core import _channel_pair, _check_energies, _quotient
 from .errors import CohresError, DegenerateChannelError, UnknownChannelError
 from .scenario import ScenarioConfig
 from .xsection import XsecMatrix, cross_section_matrix, schwartz_ratio
@@ -40,8 +40,8 @@ class RatioScan(NamedTuple):
     """Ratio results for the designated channel pair at one energy.
 
     ``r_max`` is +inf when the denominator can be interfered to zero while
-    the numerator cannot; r_nc_min/max take s in {0, 1} only.  A quotient is
-    +inf over a zero denominator, nan over 0/0; a nan r_nc makes both nan.
+    the numerator cannot; r_nc_min/max take s in {0, 1} only.  Each
+    quotient is ``core._quotient``'s; a nan r_nc makes both nan.
     """
 
     numerator: str
@@ -107,40 +107,21 @@ def _scan_row(energy: float, matrices: dict[str, XsecMatrix], pair: tuple[str, s
     return ScanRow(energy, channels, ratio)
 
 
-def _check_energies(energies: Sequence[float]) -> list[float]:
-    """The rule for a scan's energies, which ``cohres scan`` checks before reading:
-    a nonempty, strictly increasing list of finite plain floats (``core._real``)."""
-    energies = [_finite(_real(e, "energies"), "energies") for e in energies]
-    if not energies:
-        raise CohresError("energies must be nonempty")
-    if any(b <= a for a, b in zip(energies, energies[1:])):
-        raise CohresError("energies must be strictly increasing")
-    return energies
-
-
-def _channel_pair(pair) -> tuple[str, str]:
-    """The rule for a scan's channel pair: exactly two labels, as a tuple (``core._items``)."""
-    pair = _items(pair, "channel_pair", str)
-    if len(pair) != 2:
-        raise CohresError(f"channel_pair must hold exactly two labels, got {pair!r}")
-    return pair
-
-
 def energy_scan(
     cfg: ScenarioConfig,
     energies: Sequence[float],
     channel_pair: tuple[str, str],
 ) -> tuple[ScanRow, ...]:
-    """Scan the scenario over strictly increasing, finite total energies.
+    """Scan the scenario over total ``energies`` (``core._check_energies``).
 
     Each energy's table is ``cfg.table_at``, combined from the basis the
     scenario keeps, and integrated by ``cross_section_matrix``.
     A channel's ``sigma_min``/``sigma_max`` are the eigenvalues of its
     matrix, equal to ``cross_section_extrema``'s bounds; only the ratio
     pair's extrema carry control parameters.  The rows come as a tuple.
-    Raises CohresError unless ``channel_pair`` holds exactly two labels,
-    and UnknownChannelError when one of them is not a scenario channel,
-    both before any table is built.  A row whose table, matrices or
+    ``channel_pair`` is taken by ``core._channel_pair``, and
+    UnknownChannelError is raised when one of its labels is not a scenario
+    channel, both before any table is built.  A row whose table, matrices or
     solvers raise a CohresError or an ArithmeticError raises a CohresError
     that names the energy, chained to the original.
     """
@@ -171,7 +152,7 @@ _RATIO_COLUMNS = (
 
 
 def scan_csv_header(pair: tuple[str, str]) -> list[str]:
-    """The CSV header of a scan of ``pair``, which must hold exactly two labels."""
+    """The CSV header of a scan of ``pair`` (``core._channel_pair``)."""
     cols = ["energy_eV"]
     for label in _channel_pair(pair):
         cols += [f"{name}[{label}]" for name in _CHANNEL_COLUMNS]

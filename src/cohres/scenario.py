@@ -43,10 +43,10 @@ class ScenarioConfig:
     ``masses_amu`` carries the collision masses for kinematic bookkeeping
     (they never enter the amplitudes); ``energy_offset`` is a labelling
     offset only, recording which zero the scan energies are quoted
-    against.  The pair, channel and grid-order rules of its tables and grid
-    are checked here by the same ``core`` code.  Real fields are plain
-    finite floats, ``grid_order`` an int and ``masses_amu`` read-only, so
-    every scenario writes a strict JSON file that reads back.
+    against.  Its tables' rules take its pair, channels and ``grid_order``
+    (``core._pair_violations``, ``_channel_violations``, ``_grid_order``),
+    ``resonance._check_specs`` the specs and ``mix``, and ``core._real``
+    and ``_finite`` the offset and masses; ``masses_amu`` is read-only.
     The grid and its ``synthesis_basis`` are built on first use and kept.
     """
 
@@ -229,9 +229,10 @@ def write_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
 
 
 def read_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse a scenario file, each field taken only as its JSON type.
+    """Parse a scenario file, each field taken by the reader rules of ``tableio``.
 
-    Any fault is a MalformedFileError whose message starts with the path.
+    Any fault is a MalformedFileError whose message starts with the path
+    (``tableio._reading``).
     """
     path = Path(path)
     doc = _load_object(_read_text(path), str(path))

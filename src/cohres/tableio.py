@@ -233,10 +233,11 @@ def write_table(table: AmplitudeTable, path: str | Path) -> None:
 def read_table(path: str | Path) -> AmplitudeTable:
     """Parse a table file; the table checks its own invariants as it is built.
 
-    Raises MalformedFileError if the document is not UTF-8, does not parse, or
-    has a field missing or not of its JSON type (see ``_typed``, ``_numbers``);
-    TableValidationError, listing every violation, if it parses but violates
-    table invariants; both messages start with the path.  OSError for I/O.
+    Raises MalformedFileError (``_reading``) if the document is not UTF-8 or
+    not JSON, or a reader rule (``_typed``, ``_numbers``, ``_array``,
+    ``_record``) refuses a field; TableValidationError, listing every
+    violation, if it parses but violates table invariants; both messages
+    start with the path.  OSError for I/O.
     """
     path = Path(path)
     return table_from_json(_read_text(path), where=str(path))

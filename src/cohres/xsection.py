@@ -39,7 +39,7 @@ SLACK = 1e-10  # relative to sigma11 + sigma22: what XsecMatrix forgives as roun
 
 
 def _reduce_phase(phi: float) -> float:
-    p = math.fmod(phi, TWO_PI)
+    p = math.fmod(phi, TWO_PI) + 0.0  # -0.0 becomes +0.0; every other value keeps its bits
     if p < 0.0:
         p += TWO_PI
     if p >= TWO_PI:
@@ -52,8 +52,8 @@ class ControlParams:
     """A point in control space: relative weight s and relative phase phi12.
 
     s = |c2|^2 / (|c1|^2 + |c2|^2) in [0, 1]; phi12 = Arg(c2/c1), stored
-    reduced to [0, 2*pi).  Both are real numbers, stored as plain floats
-    (see ``core._real``); ``phi12`` must be finite (``core._finite``).
+    reduced to [0, 2*pi), as +0.0 where it is zero.  Both are taken by
+    ``core._real``, ``phi12`` also by ``core._finite``.
     """
 
     s: float
@@ -85,7 +85,7 @@ class XsecMatrix:
     (~4.5e5 eps, far above a Gram sum's rounding).  A diagonal that far
     below 0 is stored as 0, |sigma12| may exceed sqrt(sigma11*sigma22) by
     as much, and more raises CohresError.  Functions of M only clamp.
-    Entries are stored plain and finite (``core._real``, ``_complex``).
+    Entries are taken by ``core._real``, ``_finite`` and ``_complex``.
     """
 
     channel: str
@@ -159,8 +159,8 @@ def differential_matrix(table: AmplitudeTable, channel: str, node: int) -> XsecM
     """Angle-resolved interference matrix at one grid node (A^2/sr).
 
     No quadrature weight is applied; the sum runs over final states only.
-    ``node`` must be an integer (``core._index``), else CohresError, that
-    indexes the stored grid (no interpolation), else NodeOutOfRangeError.
+    ``node`` is taken by ``core._index`` and must index the stored grid (no
+    interpolation), else NodeOutOfRangeError.
     The block's first call sums every node at once and keeps the result.
     """
     block = table.channel(channel)

@@ -130,6 +130,11 @@ class TestBlochParams:
         assert abs(Decimal(got.s) - want) <= 2 * Decimal(sys.float_info.epsilon) * want
         assert got.phi12 == 0.0
 
+    def test_a_point_on_the_negative_zero_azimuth_stores_a_positive_zero_phase(self):
+        # v = (0.5, -0.0, 0.5): atan2(-0.0, 0.5) is -0.0, which ControlParams stores as +0.0
+        p = cross_section_extrema(sched(2.0, 1.0, 0.5, "X")).params_at_max
+        assert repr(p.phi12) == "0.0"
+
 
 class TestRatioExtrema:
     def test_shared_rank_one_is_degenerate(self):

@@ -152,19 +152,33 @@ def test_pole_cancelling_superposition_is_bracketed(
         reject()  # ratio_extrema's fault on near-degenerate singular pairs, pinned below
 
 
+# both channels of a scenario at mix = 1 - 1e-7 (random_scenario, seed 3, one state,
+# 4 nodes, at the pole): nearly rank one along one shared direction, so
+# det(den) <= SINGULAR_TOL*tr^2 and tr(adj(den)*num) rounds to 0
+NEAR_DEGENERATE_NUM = XsecMatrix(
+    "D+HF", "integral", 261146.37643120447, 399672.333192334,
+    246758.35763295955 + 208526.4839565168j,
+)
+NEAR_DEGENERATE_DEN = XsecMatrix(
+    "H+DF", "integral", 198247.7280331032, 303408.8892423797,
+    187325.1487651837 + 158301.64748811367j,
+)
+
+
 @pytest.mark.xfail(raises=ZeroDivisionError, strict=True)
 def test_near_degenerate_singular_pair_has_a_closed_form():
-    # both channels of a scenario at mix = 1 - 1e-7 (random_scenario, seed 3,
-    # one state, 4 nodes, at the pole): nearly rank one along one shared
-    # direction, so det(den) <= SINGULAR_TOL*tr^2 and tr(adj(den)*num)
-    # rounds to 0, and the unbounded regime divides det(num) by it
-    num = XsecMatrix(
-        "D+HF", "integral", 261146.37643120447, 399672.333192334,
-        246758.35763295955 + 208526.4839565168j,
-    )
-    den = XsecMatrix(
-        "H+DF", "integral", 198247.7280331032, 303408.8892423797,
-        187325.1487651837 + 158301.64748811367j,
-    )
-    rr = ratio_extrema(num, den)
+    # the unbounded regime divides det(num) by tr(adj(den)*num), which is 0
+    rr = ratio_extrema(NEAR_DEGENERATE_NUM, NEAR_DEGENERATE_DEN)
     assert rr.unbounded_max and 0.0 <= rr.min_value < math.inf
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True)
+def test_near_degenerate_pair_without_a_singularity_threshold_brackets_its_trace_ratio():
+    # tol_singular = 0 admits det(den) = 1.5e-5 > 0 as finite, so the finite regime
+    # runs with mid = 0 and det(num) = 0: lam_max is 0 and the lam_max == 0 fallback
+    # (mid - disc) / (2*det(den)) gives min = max = 0, though tr(num)/tr(den) = 1.32,
+    # the mediant of the ratios at s = 0 and s = 1, must lie between the extrema
+    num, den = NEAR_DEGENERATE_NUM, NEAR_DEGENERATE_DEN
+    rr = ratio_extrema(num, den, tol_singular=0.0)
+    assert rr.min_value < rr.max_value
+    assert rr.min_value <= num.trace / den.trace <= rr.max_value

@@ -326,8 +326,9 @@ CONSTRUCTOR_CASES = [
     (ControlParams, (np.float64(0.25), np.float64(1.0)),
      {"s": (float, "0.25"), "phi12": (float, "1.0")}),
     (ControlParams, (1, 0), {"s": (float, "1.0"), "phi12": (float, "0.0")}),
-    (ControlParams, (-0.0, -0.0), {"s": (float, "-0.0"), "phi12": (float, "-0.0")}),
-    (ControlParams, (0.5, -TWO_PI), {"s": (float, "0.5"), "phi12": (float, "-0.0")}),
+    # a phase stores +0.0, never -0.0, which a scan CSV would write as "-0.0"
+    (ControlParams, (-0.0, -0.0), {"s": (float, "-0.0"), "phi12": (float, "0.0")}),
+    (ControlParams, (0.5, -TWO_PI), {"s": (float, "0.5"), "phi12": (float, "0.0")}),
     (ControlParams, (0.5, np.float64(-1.0)),
      {"s": (float, "0.5"), "phi12": (float, repr(TWO_PI - 1.0))}),
     (ControlParams, (True, 0.0), "s must be a real number, got True"),
@@ -338,6 +339,7 @@ CONSTRUCTOR_CASES = [
     (ControlParams, ("1", "0"), "s must be a real number, got '1'"),
     # fmod(-1e-20, 2pi) + 2pi rounds to 2pi itself, which wraps to 0
     (ControlParams, (0.5, -1e-20), {"s": (float, "0.5"), "phi12": (float, "0.0")}),
+    (ControlParams, (0.5, -0.0), {"s": (float, "0.5"), "phi12": (float, "0.0")}),
 ]
 
 
