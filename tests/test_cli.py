@@ -439,6 +439,9 @@ class TestExitCodes:
             ([*ORACLE_UNREAD, "--oracle", "100000"], "--oracle"),
             ([*ORACLE_UNREAD, "--angle", "180.5"], "--angle"),
             (["schwartz", "--table", "{missing}", "--channel", "D+HF", "--angle=-1"], "--angle"),
+            (["synth", "--config", "{missing}", "--energy", "abc", "--out", "{out}"], "--energy"),
+            ([*ORACLE_UNREAD, "--oracle", "7.5"], "--oracle"),
+            ([*ORACLE_UNREAD, "--angle", "abc"], "--angle"),
         ],
         ids=[
             "energy-nan",
@@ -457,6 +460,9 @@ class TestExitCodes:
             "oracle-above-cap",
             "angle-above-180",
             "schwartz-angle-negative",
+            "energy-not-a-number",
+            "oracle-not-an-integer",
+            "angle-not-a-number",
         ],
     )
     def test_bad_float_flag_is_usage_error(self, argv, flag, fhd_table, tmp_path, capsys):
@@ -475,6 +481,9 @@ class TestExitCodes:
         assert not out.exists()
         if flag is not None:  # a single flag's range is its argparse type's to report
             assert f"cohres {argv[0]}: error: argument {flag}: expected " in captured.err
+            given = dict(a.split("=", 1) for a in argv if "=" in a).get(flag)
+            text = given if given is not None else argv[argv.index(flag) + 1]
+            assert captured.err.endswith(f", got {text!r}\n")  # convert's ValueError too
 
     @pytest.mark.parametrize(
         "argv",

@@ -172,12 +172,11 @@ def test_near_degenerate_singular_pair_has_a_closed_form():
     assert rr.unbounded_max and 0.0 <= rr.min_value < math.inf
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True)
 def test_near_degenerate_pair_without_a_singularity_threshold_brackets_its_trace_ratio():
     # tol_singular = 0 admits det(den) = 1.5e-5 > 0 as finite, so the finite regime
-    # runs with mid = 0 and det(num) = 0: lam_max is 0 and the lam_max == 0 fallback
-    # (mid - disc) / (2*det(den)) gives min = max = 0, though tr(num)/tr(den) = 1.32,
-    # the mediant of the ratios at s = 0 and s = 1, must lie between the extrema
+    # whitens num by den although tr(adj(den)*num) and det(num) both round to 0;
+    # tr(num)/tr(den) = 1.32, the mediant of the ratios at s = 0 and s = 1, must lie
+    # between the extrema
     num, den = NEAR_DEGENERATE_NUM, NEAR_DEGENERATE_DEN
     rr = ratio_extrema(num, den, tol_singular=0.0)
     assert rr.min_value < rr.max_value

@@ -559,12 +559,12 @@ class TestScanColumns:
 
 # SHA-256 of write_scan_csv for fhd_like over np.linspace(0.20, 0.31, n), per pair order
 SCAN_CSV_SHA256 = {
-    (13, PAIR): "1dd1f175c62be560fc892c689e88fb9026890a2ee0aef9dee668a9466596338b",
-    (13, PAIR[::-1]): "649e9817c3b2ab468647cbd86073f33314f837130ccd0b064eb8e61b186f58a0",
-    (401, PAIR): "48e7fb2a50e48e75dd08836adeadcdab5dc4350ef4dbaeb4894803bff7e41a90",
-    (401, PAIR[::-1]): "fed7b3131974b38266e5bdcf590bab07615af732d861675b7371926caa7d188e",
-    (2001, PAIR): "20e22b4eff5cdfbbd24b6ff870b9c4ba3139f22ec2a893283672af5a2c78c1cd",
-    (2001, PAIR[::-1]): "0bace5846a7984a848f70fc6e7ae0105f16f0fc435d99e5269a51b2fb6217fa6",
+    (13, PAIR): "7fbc3f963d6da5702c55067a3e20315c5eef6bd4cfc2deddd82af72d49761e95",
+    (13, PAIR[::-1]): "10577e2178131859f971bd1ffb37eecae415f116b5e048cee8983ed3554a8e50",
+    (401, PAIR): "5e840266c942304e5aa2a5f8519df8f1e65ea3cc65b0b23332fe9e7004e65039",
+    (401, PAIR[::-1]): "b433a6690f10e6e02082a70f74e01eda388ea6f91ad3391dc7c306213a89bddf",
+    (2001, PAIR): "7a801d136a34a361921fe153c0e03a257f074d06d04c8023967bcb6d17aac7fb",
+    (2001, PAIR[::-1]): "859b47bf42e15e24fde479e36bc1286921469eec5924b11011e07cde996cf55f",
 }
 HASH_PLATFORM = ((3, 11), "2.4.6", "x86_64")
 
