@@ -44,6 +44,7 @@ from .resonance import (
     ExitChannel,
     ExitState,
     ResonanceSpec,
+    SynthesisBasis,
     breit_wigner_factor,
     legendre_shape_norm,
     lifetime_from_width,
@@ -90,6 +91,7 @@ __all__ = [
     "ScenarioConfig",
     "SpecMismatchError",
     "SuperpositionKinematics",
+    "SynthesisBasis",
     "TableValidationError",
     "UnknownChannelError",
     "XsecMatrix",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import legval
@@ -38,13 +37,13 @@ __all__ = [
     "BackgroundState",
     "BackgroundChannel",
     "BackgroundSpec",
+    "SynthesisBasis",
     "breit_wigner_factor",
     "width_from_lifetime",
     "lifetime_from_width",
     "legendre_shape_norm",
     "resonance_branching_ratio",
     "synthesize_table",
-    "synthesis_basis",
 ]
 
 
@@ -250,15 +249,52 @@ def _check_specs(res: ResonanceSpec, bg: BackgroundSpec, mix: float) -> float:
     return mix
 
 
+@dataclass(frozen=True, eq=False)
+class SynthesisBasis:
+    """Energy-independent terms of every table of one pole plus background.
+
+    The amplitudes at energy E are
+
+        f(E) = bw(E) * terms[0] + terms[1] + (E - E_ref) * terms[2]
+
+    with ``terms`` of shape (3, n_states, n_nodes, 2): the pole term P, the
+    direct term at the reference energy D and the direct slope S.  The
+    state axis stacks every channel's final states in ``resonance.exits``
+    order.  ``resonance``, ``background`` and ``grid`` are taken by
+    ``core._instance``, the specs and ``mix`` by ``_check_specs``, once;
+    ``terms`` is derived from them, read-only and not in ``repr``.  A basis
+    holds arrays, so it equals only itself.
+    """
+
+    resonance: ResonanceSpec
+    background: BackgroundSpec
+    grid: AngleGrid
+    mix: float
+    terms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _instance(self.resonance, ResonanceSpec, "resonance")
+        _instance(self.background, BackgroundSpec, "background")
+        _instance(self.grid, AngleGrid, "grid")
+        mix = _check_specs(self.resonance, self.background, self.mix)
+        object.__setattr__(self, "mix", mix)
+        x = np.cos(self.grid.nodes)
+        entrance = np.array(self.resonance.entrance)
+        channels = zip(self.resonance.exits, self.background.channels)
+        pairs = [pair for res_ch, bg_ch in channels for pair in zip(res_ch.states, bg_ch.states)]
+        terms = np.empty((3, len(pairs), len(self.grid), 2), dtype=complex)
+        for n, (res_st, bg_st) in enumerate(pairs):
+            pole = mix * res_st.coupling * legval(x, list(res_st.shape))
+            direct = np.outer((1.0 - mix) * legval(x, list(bg_st.shape)), bg_st.column_weights)
+            terms[0, n] = np.outer(pole, entrance)
+            terms[1, n] = bg_st.amplitude * direct
+            terms[2, n] = bg_st.slope * direct
+        terms.setflags(write=False)
+        object.__setattr__(self, "terms", terms)
+
+
 def synthesize_table(
-    res: ResonanceSpec,
-    bg: BackgroundSpec,
-    grid: AngleGrid,
-    energy: float,
-    initial_pair: tuple[ChannelState, ChannelState],
-    mix: float,
-    *,
-    basis: Sequence[np.ndarray] | None = None,
+    basis: SynthesisBasis, energy: float, initial_pair: tuple[ChannelState, ChannelState]
 ) -> AmplitudeTable:
     """Amplitude table of a pole plus direct term at one total energy.
 
@@ -270,70 +306,22 @@ def synthesize_table(
     with bw the Breit-Wigner factor, bg_n(E) the linear-in-energy direct
     amplitude and w_i the per-column background weights.  ``mix`` = 1 gives
     a purely pole-mediated (factorized) table, ``mix`` = 0 a purely direct
-    one.  The specs and ``mix`` are checked by ``_check_specs``.  ``energy``
-    is taken by ``core._real`` before any arithmetic; an energy it refuses
-    is listed in the table's TableValidationError.
-
-    Every table is combined by one formula, bw(E)*P + D + (E - E_ref)*S,
-    from the energy-independent terms of ``synthesis_basis``.  A caller
-    that synthesizes many energies passes that basis of these same
-    arguments as ``basis`` and skips the energy-independent work; without
-    it, the basis is built here.  Either way the amplitudes are the same
-    bits.
+    one.  The amplitudes are ``basis``'s formula, evaluated once over all
+    channels' states; each channel's block is its slice.  ``energy`` is
+    taken by ``core._real`` before any arithmetic; an energy it refuses is
+    listed in the table's TableValidationError.
     """
-    if basis is None:
-        basis = synthesis_basis(res, bg, grid, mix)
-    else:
-        _check_specs(res, bg, mix)
-        shapes = [(3, len(states), len(grid), 2) for _, states in res._coverage]
-        if [np.shape(b) for b in basis] != shapes:
-            raise CohresError(
-                f"basis shapes {[np.shape(b) for b in basis]} do not match the specs "
-                f"and grid, expected {shapes}"
-            )
     try:
         energy = _real(energy, "energy")  # NumPy keeps float32 - float in single precision
     except CohresError:
         bw = t = 0.0  # no amplitude depends on it; the table lists it with its other violations
     else:
-        bw, t = breit_wigner_factor(energy, res), energy - bg.reference_energy
-    blocks = tuple(
-        ChannelBlock(label, states, bw * b[0] + b[1] + t * b[2])
-        for (label, states), b in zip(res._coverage, basis)
-    )
-    return AmplitudeTable(energy, initial_pair, grid, blocks)
-
-
-def synthesis_basis(
-    res: ResonanceSpec, bg: BackgroundSpec, grid: AngleGrid, mix: float
-) -> tuple[np.ndarray, ...]:
-    """Energy-independent terms of ``synthesize_table``, one array per channel.
-
-    Couplings, shapes and background terms do not depend on energy, so the
-    amplitudes of channel ``c`` at energy E are
-
-        f(E) = bw(E) * B[0] + B[1] + (E - E_ref) * B[2]
-
-    for the returned ``B = basis[c]`` of shape (3, n_states, n_nodes, 2):
-    the pole term P, the direct term at the reference energy D and the
-    direct slope S, stacked.  ``synthesize_table`` combines every table
-    from it; passed as its ``basis=``, it is computed once for a whole
-    scan.  Channels follow ``res.exits``; the specs and ``mix`` are checked
-    by ``_check_specs``.
-    """
-    mix = _check_specs(res, bg, mix)
-
-    x = np.cos(grid.nodes)
-    entrance = np.array(res.entrance)
-    bases = []
-    for res_ch, bg_ch in zip(res.exits, bg.channels):
-        basis = np.empty((3, len(res_ch.states), len(grid), 2), dtype=complex)
-        for n, (res_st, bg_st) in enumerate(zip(res_ch.states, bg_ch.states)):
-            pole = mix * res_st.coupling * legval(x, list(res_st.shape))
-            direct = np.outer((1.0 - mix) * legval(x, list(bg_st.shape)), bg_st.column_weights)
-            basis[0, n] = np.outer(pole, entrance)
-            basis[1, n] = bg_st.amplitude * direct
-            basis[2, n] = bg_st.slope * direct
-        bases.append(basis)
-    return tuple(bases)
-
+        bw = breit_wigner_factor(energy, basis.resonance)
+        t = energy - basis.background.reference_energy
+    pole, direct, slope = basis.terms
+    amplitudes = bw * pole + direct + t * slope
+    blocks, end = [], 0
+    for label, states in basis.resonance._coverage:
+        start, end = end, end + len(states)
+        blocks.append(ChannelBlock(label, states, amplitudes[start:end]))
+    return AmplitudeTable(energy, initial_pair, basis.grid, tuple(blocks))

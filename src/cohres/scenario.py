@@ -26,8 +26,8 @@ from .resonance import (
     ExitChannel,
     ExitState,
     ResonanceSpec,
+    SynthesisBasis,
     _check_specs,
-    synthesis_basis,
     synthesize_table,
 )
 from .tableio import _at, _cx, _cx_out, _load_object, _read_text, _reading, _state_in, _state_out
@@ -47,7 +47,7 @@ class ScenarioConfig:
     (``core._pair_violations``, ``_channel_violations``, ``_grid_order``),
     ``resonance._check_specs`` the specs and ``mix``, and ``core._real``
     and ``_finite`` the offset and masses; ``masses_amu`` is read-only.
-    The grid and its ``synthesis_basis`` are built on first use and kept.
+    The grid and its ``SynthesisBasis`` are built on first use and kept.
     """
 
     resonance: ResonanceSpec
@@ -85,20 +85,12 @@ class ScenarioConfig:
         return self._grid
 
     @cached_property
-    def _basis(self) -> tuple:
-        return synthesis_basis(self.resonance, self.background, self.grid(), self.mix)
+    def _basis(self) -> SynthesisBasis:
+        return SynthesisBasis(self.resonance, self.background, self.grid(), self.mix)
 
     def table_at(self, energy: float) -> AmplitudeTable:
         """Synthesize the amplitude table at one total energy from the kept basis."""
-        return synthesize_table(
-            self.resonance,
-            self.background,
-            self.grid(),
-            energy,
-            self.initial_pair,
-            self.mix,
-            basis=self._basis,
-        )
+        return synthesize_table(self._basis, energy, self.initial_pair)
 
     def product_channels(self) -> tuple[str, ...]:
         return tuple(ch.arrangement for ch in self.resonance.exits)

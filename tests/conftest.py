@@ -163,8 +163,8 @@ def direct_amplitudes(
 def direct_table(cfg: ScenarioConfig, energy: float) -> AmplitudeTable:
     """The scenario's table at ``energy`` from ``direct_amplitudes``, the tests' synthesis oracle.
 
-    It evaluates each term at ``energy`` instead of combining the terms of
-    ``synthesis_basis``, so comparing a synthesized table or a scan row
+    It evaluates each term at ``energy`` instead of combining the terms of a
+    ``SynthesisBasis``, so comparing a synthesized table or a scan row
     against it checks the library's one synthesis formula independently.
     """
     grid = cfg.grid()

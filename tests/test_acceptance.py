@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from cohres import (
+    SynthesisBasis,
     controlled_cross_section,
     controlled_ratio,
     cross_section_extrema,
@@ -72,7 +73,7 @@ def pure_scenarios(n: int, seed: int = 7):
     for _ in range(n):
         res, bg = random_pure_resonance(rng)
         energy = res.epsilon_r + float(rng.uniform(-2, 2)) * res.gamma_width
-        yield synthesize_table(res, bg, grid, energy, INITIAL, mix=1.0), res
+        yield synthesize_table(SynthesisBasis(res, bg, grid, 1.0), energy, INITIAL), res
 
 
 def well_mixed_psd(rng, channel="X"):

@@ -444,6 +444,7 @@ def _container_fields():
     res, bg = cfg.resonance, cfg.background
     exit_state, bg_state = res.exits[0].states[0], bg.channels[0].states[0]
     table = cfg.table_at(0.255)
+    basis = cfg._basis
 
     def field(record, name, what, items=None):
         return (lambda v: replace(record, **{name: v}), name, what, items)
@@ -468,6 +469,9 @@ def _container_fields():
         "ScenarioConfig.initial_pair": field(cfg, "initial_pair", "a sequence of ChannelState"),
         "ScenarioConfig.resonance": field(cfg, "resonance", "a ResonanceSpec"),
         "ScenarioConfig.background": field(cfg, "background", "a BackgroundSpec"),
+        "SynthesisBasis.resonance": field(basis, "resonance", "a ResonanceSpec"),
+        "SynthesisBasis.background": field(basis, "background", "a BackgroundSpec"),
+        "SynthesisBasis.grid": field(basis, "grid", "an AngleGrid"),
     }
 
 

@@ -20,6 +20,7 @@ from cohres import (
     NonPositiveError,
     ResonanceSpec,
     SpecMismatchError,
+    SynthesisBasis,
     TableValidationError,
     UnknownChannelError,
     breit_wigner_factor,
@@ -36,7 +37,6 @@ from cohres import (
     read_scenario,
     width_from_lifetime,
 )
-from cohres.resonance import synthesis_basis
 from conftest import FHD_SCENARIO, INITIAL, direct_table, random_pure_resonance, random_scenario
 
 
@@ -76,30 +76,15 @@ class TestSpecCoverage:
     def test_mismatch_message_is_unchanged(self):
         res, bg = simple_specs()
         bad_bg = replace(bg, channels=bg.channels[:1])
-        grid = gauss_legendre_grid(4)
-        for synthesize in (
-            lambda: synthesize_table(res, bad_bg, grid, 0.3, INITIAL, 0.5),
-            lambda: synthesis_basis(res, bad_bg, grid, 0.5),
-            lambda: synthesize_table(res, bad_bg, grid, 0.3, INITIAL, 0.5, basis=()),
-        ):
-            with pytest.raises(SpecMismatchError) as err:
-                synthesize()
-            assert str(err.value) == self.MISMATCH
-
-    def test_basis_shapes_message_is_unchanged(self):
-        res, bg = simple_specs()
-        basis = synthesis_basis(res, bg, gauss_legendre_grid(4), mix=0.5)
-        with pytest.raises(CohresError) as err:
-            synthesize_table(res, bg, gauss_legendre_grid(5), 0.3, INITIAL, 0.5, basis=basis)
-        assert str(err.value) == (
-            "basis shapes [(3, 1, 4, 2), (3, 1, 4, 2)] do not match the specs and grid, "
-            "expected [(3, 1, 5, 2), (3, 1, 5, 2)]"
-        )
+        with pytest.raises(SpecMismatchError) as err:
+            SynthesisBasis(res, bad_bg, gauss_legendre_grid(4), 0.5)
+        assert str(err.value) == self.MISMATCH
 
     def test_cache_is_no_field(self):
         res, bg = simple_specs()
         before = repr(res), repr(bg), hash(res), hash(bg)
-        table = synthesize_table(res, bg, gauss_legendre_grid(4), 0.3, INITIAL, 0.5)
+        basis = SynthesisBasis(res, bg, gauss_legendre_grid(4), 0.5)
+        table = synthesize_table(basis, 0.3, INITIAL)
         assert "_coverage" in vars(res) and "_coverage" in vars(bg)  # built, and kept
         assert [b.states for b in table.channels] == [states for _, states in res._coverage]
         assert (repr(res), repr(bg), hash(res), hash(bg)) == before
@@ -107,7 +92,7 @@ class TestSpecCoverage:
         swapped = replace(res, exits=res.exits[::-1])
         assert swapped._coverage == res._coverage[::-1]
         with pytest.raises(SpecMismatchError):
-            synthesis_basis(swapped, bg, gauss_legendre_grid(4), 0.5)
+            SynthesisBasis(swapped, bg, gauss_legendre_grid(4), 0.5)
 
 
 class TestBreitWigner:
@@ -190,7 +175,7 @@ class TestSynthesizeTable:
     def test_pure_pole_factorizes_everywhere(self, rng):
         res, bg = random_pure_resonance(rng)
         grid = gauss_legendre_grid(24)
-        t = synthesize_table(res, bg, grid, res.epsilon_r + 0.004, INITIAL, mix=1.0)
+        t = synthesize_table(SynthesisBasis(res, bg, grid, 1.0), res.epsilon_r + 0.004, INITIAL)
         for label in ("D+HF", "H+DF"):
             assert schwartz_ratio(cross_section_matrix(t, label)) >= 1.0 - 1e-12
             for k in range(len(grid)):
@@ -202,7 +187,7 @@ class TestSynthesizeTable:
         energies = np.linspace(0.25, 0.35, 11)
         norms = []
         for e in energies:
-            t = synthesize_table(res, bg, grid, e, INITIAL, mix=0.0)
+            t = synthesize_table(SynthesisBasis(res, bg, grid, 0.0), e, INITIAL)
             m = cross_section_matrix(t, "D+HF")
             norms.append(m.sigma11)
         # linear-in-energy amplitudes: |f|^2 is quadratic in E, so the
@@ -214,7 +199,7 @@ class TestSynthesizeTable:
         res, bg = simple_specs()
         grid = gauss_legendre_grid(8)
         e = 0.32
-        t = synthesize_table(res, bg, grid, e, INITIAL, mix=0.0)
+        t = synthesize_table(SynthesisBasis(res, bg, grid, 0.0), e, INITIAL)
         st0 = bg.channels[0].states[0]
         expected = (
             (st0.amplitude + st0.slope * (e - bg.reference_energy))
@@ -229,7 +214,7 @@ class TestSynthesizeTable:
         gamma = res.gamma_width
 
         def sigma_sum(e):
-            t = synthesize_table(res, bg, grid, e, INITIAL, mix=0.5)
+            t = synthesize_table(SynthesisBasis(res, bg, grid, 0.5), e, INITIAL)
             return sum(
                 cross_section_matrix(t, ch).sigma11 for ch in ("D+HF", "H+DF")
             )
@@ -255,16 +240,12 @@ class TestSynthesizeTable:
             ),
         )
         with pytest.raises(SpecMismatchError):
-            synthesize_table(res, bad_bg, gauss_legendre_grid(4), 0.3, INITIAL, mix=0.5)
-        with pytest.raises(SpecMismatchError):
-            synthesis_basis(res, bad_bg, gauss_legendre_grid(4), mix=0.5)
+            SynthesisBasis(res, bad_bg, gauss_legendre_grid(4), mix=0.5)
 
     def test_mix_out_of_range(self):
         res, bg = simple_specs()
         with pytest.raises(ValueError):
-            synthesize_table(res, bg, gauss_legendre_grid(4), 0.3, INITIAL, mix=1.5)
-        with pytest.raises(ValueError):
-            synthesis_basis(res, bg, gauss_legendre_grid(4), mix=1.5)
+            SynthesisBasis(res, bg, gauss_legendre_grid(4), mix=1.5)
 
     @pytest.mark.parametrize("mix", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("n_states", [1, 3, 6])
@@ -272,10 +253,10 @@ class TestSynthesizeTable:
         rng = np.random.default_rng((20261018, n_states))
         cfg = random_scenario(rng, mix, n_states)
         res, bg, grid = cfg.resonance, cfg.background, cfg.grid()
-        basis = synthesis_basis(res, bg, grid, mix)
+        basis = SynthesisBasis(res, bg, grid, mix)
         for e in [res.epsilon_r + d for d in (-0.05, -0.001, 0.0, 0.002, 0.04)]:
             want = direct_table(cfg, e)
-            got = synthesize_table(res, bg, grid, e, INITIAL, mix, basis=basis)
+            got = synthesize_table(basis, e, INITIAL)
             assert (got.energy, got.initial_pair, got.grid) == (e, INITIAL, grid)
             assert got.arrangements() == want.arrangements()
             for g, w in zip(got.channels, want.channels, strict=True):
@@ -287,44 +268,43 @@ class TestSynthesizeTable:
     @pytest.mark.parametrize("mix", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("n_states", [1, 2, 3, 4, 5, 6])
     def test_one_formula_with_or_without_a_basis(self, mix, n_states):
+        """A scenario's table and one from a caller's own basis are the same bits, and each
+        block is bw*P + D + t*S over its channel's slice of the stacked terms, bit for bit."""
         rng = np.random.default_rng((20261019, n_states))
         cfg = random_scenario(rng, mix, n_states)
-        res, bg, grid = cfg.resonance, cfg.background, cfg.grid()
-        basis = synthesis_basis(res, bg, grid, mix)
+        res, bg = cfg.resonance, cfg.background
+        basis = SynthesisBasis(res, bg, cfg.grid(), mix)
         gamma = res.gamma_width
         offsets = [-0.05, -3 * gamma, -gamma / 2, 0.0, 1e-9, gamma / 3, 2 * gamma, 0.04]
         for e in [res.epsilon_r + d for d in offsets]:
-            alone = synthesize_table(res, bg, grid, e, INITIAL, mix)
-            combined = synthesize_table(res, bg, grid, e, INITIAL, mix, basis=basis)
-            for a, c in zip(alone.channels, combined.channels, strict=True):
-                assert a.amplitudes.tobytes() == c.amplitudes.tobytes()
+            bw, t = breit_wigner_factor(e, res), e - bg.reference_energy
+            own, kept = synthesize_table(basis, e, INITIAL), cfg.table_at(e)
+            end = 0
+            for o, k in zip(own.channels, kept.channels, strict=True):
+                start, end = end, end + len(o.states)
+                pole, direct, slope = basis.terms[:, start:end]
+                assert o.amplitudes.tobytes() == k.amplitudes.tobytes()
+                assert o.amplitudes.tobytes() == (bw * pole + direct + t * slope).tobytes()
+            assert end == basis.terms.shape[1]
 
     @pytest.mark.parametrize("mix", [True, "0.5", None], ids=["bool", "str", "none"])
     def test_mix_takes_only_a_real_number(self, mix):
         res, bg = simple_specs()
-        grid = gauss_legendre_grid(4)
-        basis = synthesis_basis(res, bg, grid, 0.5)
-        calls = [
-            lambda: synthesize_table(res, bg, grid, 0.3, INITIAL, mix),
-            lambda: synthesize_table(res, bg, grid, 0.3, INITIAL, mix, basis=basis),
-            lambda: synthesis_basis(res, bg, grid, mix),
-        ]
-        for call in calls:
-            with pytest.raises(CohresError) as err:
-                call()
-            assert str(err.value) == f"mix must be a real number, got {mix!r}"
+        with pytest.raises(CohresError) as err:
+            SynthesisBasis(res, bg, gauss_legendre_grid(4), mix)
+        assert str(err.value) == f"mix must be a real number, got {mix!r}"
 
     def test_mix_as_a_numpy_float_is_the_same_table(self):
         res, bg = simple_specs()
         grid = gauss_legendre_grid(4)
-        want = synthesize_table(res, bg, grid, 0.31, INITIAL, 0.5)
-        got = synthesize_table(res, bg, grid, 0.31, INITIAL, np.float32(0.5))
+        want = synthesize_table(SynthesisBasis(res, bg, grid, 0.5), 0.31, INITIAL)
+        got = synthesize_table(SynthesisBasis(res, bg, grid, np.float32(0.5)), 0.31, INITIAL)
         for g, w in zip(got.channels, want.channels, strict=True):
             assert g.amplitudes.tobytes() == w.amplitudes.tobytes()
-        want_basis = synthesis_basis(res, bg, grid, 0.5)
-        got_basis = synthesis_basis(res, bg, grid, np.float64(0.5))
-        for g, w in zip(got_basis, want_basis, strict=True):
-            assert g.tobytes() == w.tobytes()
+        want_basis = SynthesisBasis(res, bg, grid, 0.5)
+        got_basis = SynthesisBasis(res, bg, grid, np.float64(0.5))
+        assert type(got_basis.mix) is float
+        assert got_basis.terms.tobytes() == want_basis.terms.tobytes()
 
     def test_numpy_float32_energy_is_the_same_table(self):
         # the amplitudes belong to the stored energy, float(energy), not to
@@ -343,18 +323,10 @@ class TestSynthesizeTable:
         res, bg = simple_specs()
         message = re.escape(f"energy: must be a real number, got {energy!r}")
         with pytest.raises(TableValidationError, match=message):
-            synthesize_table(res, bg, gauss_legendre_grid(4), energy, INITIAL, 0.5)
+            synthesize_table(SynthesisBasis(res, bg, gauss_legendre_grid(4), 0.5), energy, INITIAL)
         with pytest.raises(TableValidationError) as err:  # the scenario's basis path
             read_scenario(FHD_SCENARIO).table_at(energy)
         assert err.value.violations == [f"energy: must be a real number, got {energy!r}"]
-
-    def test_basis_of_other_specs_rejected(self):
-        res, bg = simple_specs()
-        basis = synthesis_basis(res, bg, gauss_legendre_grid(4), mix=0.5)
-        with pytest.raises(ValueError, match="basis shapes"):
-            synthesize_table(res, bg, gauss_legendre_grid(5), 0.3, INITIAL, 0.5, basis=basis)
-        with pytest.raises(ValueError, match="basis shapes"):
-            synthesize_table(res, bg, gauss_legendre_grid(4), 0.3, INITIAL, 0.5, basis=basis[:1])
 
 
 class TestSpecRules:
@@ -429,7 +401,7 @@ class TestBranching:
         grid = gauss_legendre_grid(24)
         expected = resonance_branching_ratio(res, "D+HF", "H+DF")
         for e in (res.epsilon_r - 0.01, res.epsilon_r, res.epsilon_r + 0.02):
-            t = synthesize_table(res, bg, grid, e, INITIAL, mix=1.0)
+            t = synthesize_table(SynthesisBasis(res, bg, grid, 1.0), e, INITIAL)
             num = cross_section_matrix(t, "D+HF")
             den = cross_section_matrix(t, "H+DF")
             rr = ratio_extrema(num, den)
@@ -445,7 +417,7 @@ class TestBranching:
 
         res, bg = random_pure_resonance(rng)
         grid = gauss_legendre_grid(16)
-        t = synthesize_table(res, bg, grid, res.epsilon_r + 0.003, INITIAL, mix=1.0)
+        t = synthesize_table(SynthesisBasis(res, bg, grid, 1.0), res.epsilon_r + 0.003, INITIAL)
         num = cross_section_matrix(t, "D+HF")
         den = cross_section_matrix(t, "H+DF")
         lat = lattice_extrema(num, den, 101, 101)

@@ -19,6 +19,7 @@ from cohres import (
     ExitState,
     ResonanceSpec,
     ScenarioConfig,
+    SynthesisBasis,
     UnknownChannelError,
     XsecMatrix,
     controlled_ratio,
@@ -29,8 +30,8 @@ from cohres import (
     synthesize_table,
     write_scan_csv,
 )
-from cohres.resonance import synthesis_basis
 from cohres.scan import _scan_row, scan_csv_header
+from cohres.tableio import table_to_json
 from conftest import FHD_SCENARIO, INITIAL, direct_table, random_scenario
 
 PAIR = ("D+HF", "H+DF")
@@ -308,12 +309,9 @@ class TestBasisScan:
         cfg = read_scenario(FHD_SCENARIO)
         energies = [0.20 + 0.11 * i / 1100 for i in range(1101)]
         grid = cfg.grid()
-        res, bg = cfg.resonance, cfg.background
-        basis = synthesis_basis(res, bg, grid, cfg.mix)
+        basis = SynthesisBasis(cfg.resonance, cfg.background, grid, cfg.mix)
         for row in energy_scan(cfg, energies, PAIR):
-            table = synthesize_table(
-                res, bg, grid, row.energy, cfg.initial_pair, cfg.mix, basis=basis
-            )
+            table = synthesize_table(basis, row.energy, cfg.initial_pair)
             for c in row.channels:
                 ext = cross_section_extrema(cross_section_matrix(table, c.channel))
                 assert (c.sigma_min, c.sigma_max) == (ext.min_value, ext.max_value)
@@ -339,16 +337,16 @@ class TestBasisScan:
     def test_scan_computes_the_basis_once(self, monkeypatch):
         bases, tables = [], []
 
-        def basis_spy(*args, **kwargs):
-            bases.append(synthesis_basis(*args, **kwargs))
+        def basis_spy(*args):
+            bases.append(SynthesisBasis(*args))
             return bases[-1]
 
-        def table_spy(*args, basis=None, **kwargs):
+        def table_spy(basis, *args):
             assert basis is bases[0]
-            tables.append(synthesize_table(*args, basis=basis, **kwargs))
+            tables.append(synthesize_table(basis, *args))
             return tables[-1]
 
-        monkeypatch.setattr("cohres.scenario.synthesis_basis", basis_spy)
+        monkeypatch.setattr("cohres.scenario.SynthesisBasis", basis_spy)
         monkeypatch.setattr("cohres.scenario.synthesize_table", table_spy)
         cfg = read_scenario(FHD_SCENARIO)
         assert len(energy_scan(cfg, ENERGIES, PAIR)) == len(ENERGIES)
@@ -367,7 +365,7 @@ class TestBasisScan:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the energies were checked")
 
-        monkeypatch.setattr("cohres.scenario.synthesis_basis", refuse)
+        monkeypatch.setattr("cohres.scenario.SynthesisBasis", refuse)
         monkeypatch.setattr("cohres.scenario.synthesize_table", refuse)
         cfg = read_scenario(FHD_SCENARIO)
         with pytest.raises(ValueError, match=f"^energies must be finite, got {bad}$"):
@@ -581,6 +579,25 @@ def test_scan_csv_bytes_are_pinned(tmp_path, n, pair):
         path = tmp_path / f"{name}.csv"
         write_scan_csv(source, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SCAN_CSV_SHA256[n, pair], name
+
+
+# SHA-256 of table_to_json (the `cohres synth` file) for fhd_like at each energy (eV)
+TABLE_SHA256 = {
+    0.2: "8c24c9fddb694d8db41b1d1201456fa1c2c8bee88a6ddf5ce3c35b4df986a3d9",
+    0.255: "544878d7952c12415de82e8d9698838ef79b880244ad909e59a9c04519970db7",
+    0.31: "e67ba9262bde2ac627406072ef415fb982a3eb37a920e976c6559ee7491ce3b1",
+}
+
+
+@pytest.mark.skipif(
+    (sys.version_info[:2], np.__version__, platform.machine()) != HASH_PLATFORM,
+    reason="the table hashes were taken on Python 3.11, numpy 2.4.6, x86_64 only",
+)
+@pytest.mark.parametrize("energy", list(TABLE_SHA256), ids=str)
+def test_synthesized_table_bytes_are_pinned(energy):
+    """The synthesized table's file text hashes as pinned."""
+    text = table_to_json(read_scenario(FHD_SCENARIO).table_at(energy))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TABLE_SHA256[energy]
 
 
 class TestCommittedScenarioRegression:

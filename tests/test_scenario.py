@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cohres.core
+import cohres.resonance
 import cohres.scenario
 from cohres import (
     CohresError,
@@ -127,17 +128,17 @@ class TestScenarioGrid:
 
     def test_basis_is_built_once_per_scenario(self, monkeypatch):
         bases, used = [], []
-        build, synthesize = cohres.scenario.synthesis_basis, cohres.scenario.synthesize_table
+        build, synthesize = cohres.scenario.SynthesisBasis, cohres.scenario.synthesize_table
 
         def basis_spy(*args):
             bases.append(build(*args))
             return bases[-1]
 
-        def table_spy(*args, basis):
+        def table_spy(basis, *args):
             used.append(basis)
-            return synthesize(*args, basis=basis)
+            return synthesize(basis, *args)
 
-        monkeypatch.setattr(cohres.scenario, "synthesis_basis", basis_spy)
+        monkeypatch.setattr(cohres.scenario, "SynthesisBasis", basis_spy)
         monkeypatch.setattr(cohres.scenario, "synthesize_table", table_spy)
         cfg = read_scenario(FHD_SCENARIO)
         energy_scan(cfg, [0.25, 0.255], ("D+HF", "H+DF"))
@@ -147,6 +148,24 @@ class TestScenarioGrid:
         assert all(basis is bases[0] for basis in used)
         replace(cfg, mix=0.25).table_at(0.255)
         assert len(bases) == 2 and used[-1] is bases[1] is not bases[0]
+
+    @pytest.mark.parametrize("n", [1, 401])
+    def test_specs_are_checked_once_per_basis(self, monkeypatch, n):
+        """The scenario checks its specs, its basis checks them once more, and no table does."""
+        calls = []
+        check = cohres.resonance._check_specs
+
+        def spy(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(cohres.resonance, "_check_specs", spy)
+        monkeypatch.setattr(cohres.scenario, "_check_specs", spy)
+        cfg = read_scenario(FHD_SCENARIO)
+        assert len(energy_scan(cfg, np.linspace(0.20, 0.31, n), ("D+HF", "H+DF"))) == n
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            cfg._basis.terms[0, 0, 0, 0] = 0.0
 
 
 def load_tuner(tmp_path):
