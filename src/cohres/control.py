@@ -26,6 +26,14 @@ maximum are at n = -v/|v| and +v/|v|, a ratio's at -w and +w for w the
 Bloch vector of A - lambda*B at its root, and a singular denominator's
 zero at -v_B (``_bloch_params``).
 
+Every 2x2 a solver solves (a channel's M, a ratio's A and B, and the
+whitened C) is brought to a safe scale by one exact power of two
+(``_scaled``), and its determinant is ``xsection._det``.  Every square is
+a product, x*x, which is correctly rounded (``x**2`` calls ``pow``, which
+is not).  So a scaled result is the full-scale one times that power, bit
+for bit, unless an entry, or a product the solve forms from them (such as
+lambda*b12 in a ratio's control point), is subnormal.
+
 Everything here is closed-form and deterministic.  ``lattice_extrema`` is
 the deliberately independent brute-force cross-check: it evaluates the
 objective on an (s, phi12) lattice and reports lattice extrema, nothing
@@ -35,14 +43,14 @@ more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import TWO_PI
 from .core import _index, _quotient, _real
 from .errors import CohresError, ZeroDenominatorError
-from .xsection import ControlParams, XsecMatrix, _form_terms, controlled_cross_section
+from .xsection import ControlParams, XsecMatrix, _det, _form_terms, controlled_cross_section
 
 __all__ = [
     "ControlRange",
@@ -59,6 +67,7 @@ DENOM_FLOOR = 1e-300  # a lattice ratio point is skipped where den <= this * its
 _SAFE_EXP = 250  # a larger diagonal in [2**-250, 2**250) is solved unscaled (_scaled)
 _SAFE_LOW, _SAFE_HIGH = math.ldexp(1.0, -_SAFE_EXP), math.ldexp(1.0, _SAFE_EXP)
 _BLOCK_POINTS = 1 << 15  # lattice points per row block: ~256 KB per float64 array
+_CORNERS = (ControlParams(0.0, 0.0), ControlParams(1.0, 0.0))  # a flat objective's points
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,37 +119,28 @@ def _bloch_params(m11: float, m22: float, m12: complex, sign: float) -> ControlP
     return ControlParams(s, math.atan2(y, x) if rho else 0.0)
 
 
-def _scale_exponent(top: float) -> int:
-    """The even k that brings a finite top > 0 into [2**(_SAFE_EXP - 2), 2**_SAFE_EXP)."""
-    return (_SAFE_EXP - math.frexp(top)[1]) & ~1
-
-
-def _ldexp_complex(z: complex, k: int) -> complex:
-    """z * 2**k, exactly unless a part underflows."""
-    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
-
-
-def _scaled(m: XsecMatrix) -> tuple[XsecMatrix, int]:
-    """``m`` with its entries times 2**k, and the even k.
+def _scaled(m11: float, m22: float, m12: complex) -> tuple[float, float, complex, int]:
+    """The entries of [[m11, m12], [conj(m12), m22]] times 2**k, and the even k.
 
     The solvers form products of two entries (determinants, squares) and
     their quotients, which stay finite and normal at the scale of a larger
-    diagonal within [2**-``_SAFE_EXP``, 2**``_SAFE_EXP``): such a matrix is
-    returned as it is, k = 0.  Any other nonzero matrix is scaled so that
-    its larger diagonal lies in [2**(``_SAFE_EXP`` - 2), 2**``_SAFE_EXP``)
-    (``_scale_exponent``): the least shrinking that reaches the range, and
-    the most growth that stays in it, leave its smaller entries the most
-    room above the subnormals.  Scaling by a power of two is exact, so
-    unless it makes an entry subnormal, every operation of the solve is the
-    unscaled one's times a power of two, as if no product had overflowed or
-    underflowed.  Callers undo it with ``_unscale``.
+    diagonal within [2**-``_SAFE_EXP``, 2**``_SAFE_EXP``): such entries are
+    returned as they are, k = 0.  Any other nonzero matrix is scaled so
+    that its larger diagonal lies in [2**(``_SAFE_EXP`` - 2),
+    2**``_SAFE_EXP``): the least shrinking that reaches the range, and the
+    most growth that stays in it, leave its smaller entries the most room
+    above the subnormals.  Scaling by a power of two is exact, so every
+    operation of the solve is the unscaled one's times a power of two, as
+    if no product had overflowed or underflowed, unless an entry, or a
+    product the solve forms from them (such as lambda*b12 in a ratio's
+    control point), is subnormal.  Callers undo it with ``_unscale``.
     """
-    top = max(m.sigma11, m.sigma22)
+    top = max(m11, m22)
     if _SAFE_LOW <= top < _SAFE_HIGH or top == 0.0:
-        return m, 0
-    k = _scale_exponent(top)
-    s11, s22 = math.ldexp(m.sigma11, k), math.ldexp(m.sigma22, k)
-    return replace(m, sigma11=s11, sigma22=s22, sigma12=_ldexp_complex(m.sigma12, k)), k
+        return m11, m22, m12, 0
+    k = (_SAFE_EXP - math.frexp(top)[1]) & ~1
+    m12 = complex(math.ldexp(m12.real, k), math.ldexp(m12.imag, k))
+    return math.ldexp(m11, k), math.ldexp(m22, k), m12, k
 
 
 def _unscale(x: float, k: int) -> float:
@@ -161,7 +161,8 @@ def _hermitian_eigenvalues(m11: float, m22: float, m12: complex, det: float) -> 
     and is 0.0 where lambda_max is not positive.  Both solvers call this
     kernel: a channel on its own matrix, a ratio on its whitened numerator.
     """
-    disc_sq = (m11 - m22) ** 2 + 4.0 * abs(m12) ** 2
+    d, a = m11 - m22, abs(m12)
+    disc_sq = d * d + 4.0 * (a * a)
     lam_max = 0.5 * ((m11 + m22) + math.sqrt(disc_sq))
     lam_min = det / lam_max if det > 0.0 and lam_max > 0.0 else 0.0
     return lam_min, lam_max
@@ -170,11 +171,11 @@ def _hermitian_eigenvalues(m11: float, m22: float, m12: complex, det: float) -> 
 def _eigenvalues(m: XsecMatrix) -> tuple[float, float]:
     """(lambda_min, lambda_max) of the interference matrix.
 
-    The kernel ``_hermitian_eigenvalues`` on ``_scaled(m)``'s matrix, then
-    unscaled (``_unscale``).
+    The kernel ``_hermitian_eigenvalues`` on ``_scaled``'s entries of
+    ``m``, then unscaled (``_unscale``).
     """
-    s, k = _scaled(m)
-    lam_min, lam_max = _hermitian_eigenvalues(s.sigma11, s.sigma22, s.sigma12, s.det)
+    m11, m22, m12, k = _scaled(m.sigma11, m.sigma22, m.sigma12)
+    lam_min, lam_max = _hermitian_eigenvalues(m11, m22, m12, _det(m11, m22, m12))
     return _unscale(lam_min, k), _unscale(lam_max, k)
 
 
@@ -188,8 +189,7 @@ def cross_section_extrema(m: XsecMatrix) -> ControlRange:
     """
     lo, hi = _eigenvalues(m)
     if m.sigma12 == 0 and m.sigma11 == m.sigma22:
-        corners = ControlParams(0.0, 0.0), ControlParams(1.0, 0.0)
-        return ControlRange(lo, hi, *corners, degenerate=True)
+        return ControlRange(lo, hi, *_CORNERS, degenerate=True)
     p_min, p_max = (_bloch_params(m.sigma11, m.sigma22, m.sigma12, sign) for sign in (-1.0, 1.0))
     return ControlRange(lo, hi, p_min, p_max)
 
@@ -226,10 +226,9 @@ def ratio_extrema(
       pivoted on its larger diagonal (Golub & Van Loan, Matrix Computations,
       sec. 8.7.2), given by the channel kernel with det C = det(A)/det(B).
 
-    A matrix of extreme scale is solved scaled by an exact power of two
-    (``_scaled``), and so is a C whose scale, the ratio's, is extreme; the
-    ratio's values are unscaled, and its parameters do not depend on the
-    scale.  Raises ZeroDenominatorError when trace(B) == 0.
+    A, B and C each go through ``_scaled`` (module docstring); C's scale
+    is the ratio's.  The ratio's values are unscaled, and its parameters do
+    not depend on the scale.  Raises ZeroDenominatorError when trace(B) == 0.
     ``tol_singular`` is taken by ``core._real`` and must be finite and >= 0,
     else CohresError.
 
@@ -253,16 +252,14 @@ def ratio_extrema(
     """
     if not 0.0 <= (tol_singular := _real(tol_singular, "tol_singular")) < math.inf:
         raise CohresError(f"tol_singular must be a finite number >= 0, got {tol_singular!r}")
-    num, ka = _scaled(num)
-    den, kb = _scaled(den)
+    a11, a22, a12, ka = _scaled(num.sigma11, num.sigma22, num.sigma12)
+    b11, b22, b12, kb = _scaled(den.sigma11, den.sigma22, den.sigma12)
     k = ka - kb  # a ratio of the scaled matrices is the ratio times 2**k
-    a11, a22, a12 = num.sigma11, num.sigma22, num.sigma12
-    b11, b22, b12 = den.sigma11, den.sigma22, den.sigma12
-    tr_b = den.trace
+    tr_b = b11 + b22
     if tr_b == 0.0:
         raise ZeroDenominatorError("denominator matrix is identically zero")
 
-    kappa = num.trace / tr_b
+    kappa = (a11 + a22) / tr_b
     scale = max(abs(a11), abs(a22), abs(a12), abs(kappa) * max(b11, b22, abs(b12)))
     dev = max(
         abs(a11 - kappa * b11),
@@ -271,21 +268,15 @@ def ratio_extrema(
     )
     if dev <= DEGENERATE_TOL * scale:
         value = _unscale(kappa, k)
-        return ControlRange(
-            min_value=value,
-            max_value=value,
-            params_at_min=ControlParams(0.0, 0.0),
-            params_at_max=ControlParams(1.0, 0.0),
-            degenerate=True,
-        )
+        return ControlRange(value, value, *_CORNERS, degenerate=True)
 
-    det_a = num.det
-    det_b = den.det
+    det_a = _det(a11, a22, a12)
+    det_b = _det(b11, b22, b12)
 
     def at(lam: float, sign: float) -> ControlParams:
         return _bloch_params(a11 - lam * b11, a22 - lam * b22, a12 - lam * b12, sign)
 
-    if det_b <= tol_singular * tr_b**2:
+    if det_b <= tol_singular * (tr_b * tr_b):
         mid = a11 * b22 + a22 * b11 - 2.0 * (a12 * b12.conjugate()).real  # tr(adj(B) A)
         lam_min = max(0.0, det_a / mid)
         return ControlRange(
@@ -307,18 +298,13 @@ def ratio_extrema(
     # C = diag(q11, d2)^(-1/2) U^(-H) A U^(-1) diag(q11, d2)^(-1/2), with det C = det_a/det_b
     c11 = p11 / q11
     c12 = (p12 - p11 * g) / math.sqrt(q11 * d2)
-    c22 = (p22 - 2.0 * (p12.conjugate() * g).real + p11 * abs(g) ** 2) / d2
-    det_c, j = det_a / det_b, 0
-    top = c11 if c11 > c22 else c22
-    if not _SAFE_LOW <= top < _SAFE_HIGH:
-        # C's scale is the ratio's, which a nearly singular B takes far from A's and
-        # B's own: C is solved scaled too (``_scaled``), det C as 2**j*det_a / 2**-j*det_b
-        j = _scale_exponent(top)
-        c11, c22, c12 = math.ldexp(c11, j), math.ldexp(c22, j), _ldexp_complex(c12, j)
-        det_c = math.ldexp(det_a, j) / math.ldexp(det_b, -j)
+    c22 = (p22 - 2.0 * (p12.conjugate() * g).real + p11 * (abs(g) * abs(g))) / d2
+    # C's scale is the ratio's, which a nearly singular B takes far from A's and B's own:
+    # C is solved scaled too, det C as 2**j*det_a / 2**-j*det_b
+    c11, c22, c12, j = _scaled(c11, c22, c12)
+    det_c = math.ldexp(det_a, j) / math.ldexp(det_b, -j)
     lam_min, lam_max = _hermitian_eigenvalues(c11, c22, c12, det_c)
-    if j:
-        lam_min, lam_max = _unscale(lam_min, j), _unscale(lam_max, j)
+    lam_min, lam_max = _unscale(lam_min, j), _unscale(lam_max, j)
     return ControlRange(
         min_value=_unscale(lam_min, k),
         max_value=_unscale(lam_max, k),

@@ -230,8 +230,8 @@ def resonance_branching_ratio(spec: ResonanceSpec, channel_a: str, channel_b: st
     """
 
     def flux(label: str) -> float:
-        ch = spec.exit_channel(label)
-        return sum(abs(s.coupling) ** 2 * legendre_shape_norm(s.shape) for s in ch.states)
+        amplitudes = ((abs(s.coupling), s.shape) for s in spec.exit_channel(label).states)
+        return sum(a * a * legendre_shape_norm(shape) for a, shape in amplitudes)
 
     return _quotient(flux(channel_a), flux(channel_b))
 

@@ -47,6 +47,12 @@ def _reduce_phase(phi: float) -> float:
     return p
 
 
+def _det(m11: float, m22: float, m12: complex) -> float:
+    """det [[m11, m12], [conj(m12), m22]] = m11*m22 - |m12|^2, each square a product."""
+    a = abs(m12)
+    return m11 * m22 - a * a
+
+
 @dataclass(frozen=True, slots=True)
 class ControlParams:
     """A point in control space: relative weight s and relative phase phi12.
@@ -124,7 +130,7 @@ class XsecMatrix:
 
     @property
     def det(self) -> float:
-        return self.sigma11 * self.sigma22 - abs(self.sigma12) ** 2
+        return _det(self.sigma11, self.sigma22, self.sigma12)
 
     def as_array(self) -> np.ndarray:
         return np.array(

@@ -286,6 +286,10 @@ def _times(m: XsecMatrix, k: int) -> tuple:
     return math.ldexp(m.sigma11, k), math.ldexp(m.sigma22, k), s12
 
 
+# |sigma12|**2 through float pow gives 59.5, the product |sigma12|*|sigma12| 59.49999999999999
+SQUARE_MISROUNDED_BY_POW = (0.5, 119.0, 7.713624310270756)
+
+
 class TestScaleBeforeSolving:
     """A matrix of extreme scale is solved scaled by an exact power of two."""
 
@@ -327,18 +331,19 @@ class TestScaleBeforeSolving:
 
     def test_only_matrices_outside_the_safe_range_are_scaled(self, rng):
         m = random_psd_matrix(rng)
-        assert control._scaled(m)[0] is m and control._scaled(m)[1] == 0
+        entries = (m.sigma11, m.sigma22, m.sigma12)
+        assert control._scaled(*entries) == (*entries, 0)
         safe = control._SAFE_EXP
         low, high = math.ldexp(1.0, -safe), math.ldexp(1.0, safe)
         for d in (low, math.nextafter(high, 0.0)):  # the ends of the range are kept
-            assert control._scaled(sched(d, 0.5 * d, 0.0))[1] == 0
+            assert control._scaled(d, 0.5 * d, 0j)[3] == 0
         # the larger diagonal decides; k is even and brings it into [2**(safe-2), 2**safe)
         for d in (math.nextafter(low, 0.0), high, 2.0**300, 2.0**-600, 5e-324, 1e308):
             for diag in ((d, 0.5 * d), (0.0, d)):
-                scaled, k = control._scaled(sched(*diag, 0.0))
+                s11, s22, _, k = control._scaled(*diag, 0j)
                 assert k != 0 and k % 2 == 0
-                assert math.ldexp(1.0, safe - 2) <= max(scaled.sigma11, scaled.sigma22) < high
-                assert (scaled.sigma11, scaled.sigma22) == tuple(math.ldexp(x, k) for x in diag)
+                assert math.ldexp(1.0, safe - 2) <= max(s11, s22) < high
+                assert (s11, s22) == tuple(math.ldexp(x, k) for x in diag)
 
     def test_a_wide_range_matrix_keeps_its_bits(self):
         # diagonals near 2**301 and 2**-751: scaled, yet shrunk only into the safe
@@ -346,9 +351,10 @@ class TestScaleBeforeSolving:
         s11, s22 = math.ldexp(1 / 3, 302), math.ldexp(1 / 7, -748)
         s12 = complex(math.ldexp(1 / 5, -230), math.ldexp(-1 / 11, -231))
         m = sched(s11, s22, s12)
-        scaled, k = control._scaled(m)
-        assert k != 0 and scaled.sigma22 >= sys.float_info.min
-        lam_max = 0.5 * (m.trace + math.sqrt((s11 - s22) ** 2 + 4.0 * abs(s12) ** 2))
+        _, scaled_s22, _, k = control._scaled(s11, s22, s12)
+        assert k != 0 and scaled_s22 >= sys.float_info.min
+        d, a = s11 - s22, abs(s12)
+        lam_max = 0.5 * (m.trace + math.sqrt(d * d + 4.0 * (a * a)))
         lam_min = m.det / lam_max
         assert lam_min >= sys.float_info.min  # normal, so its bits are the unscaled solve's
         assert control._eigenvalues(m) == (lam_min, lam_max)
@@ -369,6 +375,42 @@ class TestScaleBeforeSolving:
             math.ldexp(v, 492) for v in (want.min_value, want.max_value)
         )
         assert (got.params_at_min, got.params_at_max) == (want.params_at_min, want.params_at_max)
+
+    @pytest.mark.parametrize("k", [-600, -2, 2, 600])
+    def test_a_scaled_channel_is_the_full_scale_one_times_the_power(self, k):
+        # each square is a correctly rounded product, so solved at any scale, scaled
+        # (+-600) or not (+-2), the values are the full-scale ones times 2**k, bit for bit
+        m = sched(*SQUARE_MISROUNDED_BY_POW)
+        got, want = cross_section_extrema(sched(*_times(m, k))), cross_section_extrema(m)
+        assert (got.min_value, got.max_value) == tuple(
+            math.ldexp(v, k) for v in (want.min_value, want.max_value)
+        )
+        assert (got.params_at_min, got.params_at_max) == (want.params_at_min, want.params_at_max)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (1, 0), (0, 1), (-300, 0), (300, -100), (0, -300)])
+    def test_a_scaled_ratio_is_the_full_scale_one_times_the_power(self, i, j):
+        a, b = sched(*SQUARE_MISROUNDED_BY_POW, "A"), sched(1.0, 2.0, 0.3, "B")
+        want = ratio_extrema(a, b)
+        assert not (want.degenerate or want.unbounded_max)
+        got = ratio_extrema(sched(*_times(a, 2 * i), "A"), sched(*_times(b, 2 * j), "B"))
+        assert (got.min_value, got.max_value) == tuple(
+            math.ldexp(v, 2 * (i - j)) for v in (want.min_value, want.max_value)
+        )
+        assert (got.params_at_min, got.params_at_max) == (want.params_at_min, want.params_at_max)
+
+    def test_the_solvers_check_no_matrix_again(self, monkeypatch):
+        # XsecMatrix's constructor accepts or rejects a matrix once: solving one of
+        # extreme scale, which is scaled, constructs no other matrix
+        checked = []
+        check = XsecMatrix.__post_init__
+        monkeypatch.setattr(XsecMatrix, "__post_init__", lambda m: checked.append(m) or check(m))
+        a = sched(*_times(sched(2.0, 1.0, 0.5 + 0.5j), 300), "A")
+        b = sched(*_times(sched(1.0, 3.0, 0.25), -300), "B")
+        assert len(checked) == 4  # the spy sees every construction
+        checked.clear()
+        cross_section_extrema(a)
+        ratio_extrema(a, b)
+        assert checked == []
 
     def test_ratio_beyond_the_doubles_saturates(self):
         a, b = sched(2.0, 1.0, 0.5 + 0.5j, "A"), sched(1.0, 3.0, 0.25, "B")

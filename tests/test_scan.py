@@ -560,9 +560,9 @@ SCAN_CSV_SHA256 = {
     (13, PAIR): "7fbc3f963d6da5702c55067a3e20315c5eef6bd4cfc2deddd82af72d49761e95",
     (13, PAIR[::-1]): "10577e2178131859f971bd1ffb37eecae415f116b5e048cee8983ed3554a8e50",
     (401, PAIR): "5e840266c942304e5aa2a5f8519df8f1e65ea3cc65b0b23332fe9e7004e65039",
-    (401, PAIR[::-1]): "b433a6690f10e6e02082a70f74e01eda388ea6f91ad3391dc7c306213a89bddf",
-    (2001, PAIR): "7a801d136a34a361921fe153c0e03a257f074d06d04c8023967bcb6d17aac7fb",
-    (2001, PAIR[::-1]): "859b47bf42e15e24fde479e36bc1286921469eec5924b11011e07cde996cf55f",
+    (401, PAIR[::-1]): "38bef5b5aa16031bdeb56859b7eae72e9c9cfd2d13f2616dbc0cd455b88b2fef",
+    (2001, PAIR): "9ae67111d75703475fce00bcd6469c9baacb14ff1a0bd7bdd0175f883c3f2195",
+    (2001, PAIR[::-1]): "a0ce98727ffc2797d1bf4dd8693fa27e1e4683982adb5f87eb8ca53a47e3d16b",
 }
 HASH_PLATFORM = ((3, 11), "2.4.6", "x86_64")
 
