@@ -5,7 +5,13 @@ tables, extremize controlled cross sections and cross-section ratios over
 the superposition parameters (s, phi12) in closed form, diagnose
 resonance mediation via the Schwartz ratio, and synthesize
 Breit-Wigner-plus-background tables to exercise all of it.
+
+Importing the package loads the table and solver layer only; each name of
+the synthesis and scan layer (``resonance``, ``scenario``, ``scan``) loads
+its module when first used, and is read from that module on every use.
 """
+
+import importlib
 
 from .constants import reduced_mass, wavenumber
 from .control import (
@@ -37,23 +43,6 @@ from .errors import (
     UnknownChannelError,
     ZeroDenominatorError,
 )
-from .resonance import (
-    BackgroundChannel,
-    BackgroundSpec,
-    BackgroundState,
-    ExitChannel,
-    ExitState,
-    ResonanceSpec,
-    SynthesisBasis,
-    breit_wigner_factor,
-    legendre_shape_norm,
-    lifetime_from_width,
-    resonance_branching_ratio,
-    synthesize_table,
-    width_from_lifetime,
-)
-from .scan import ChannelScan, RatioScan, ScanRow, energy_scan, write_scan_csv
-from .scenario import ScenarioConfig, read_scenario, write_scenario
 from .tableio import read_table, write_table
 from .xsection import (
     ControlParams,
@@ -122,3 +111,19 @@ __all__ = [
     "write_scenario",
     "write_table",
 ]
+
+_LAZY_MODULES = ("resonance", "scenario", "scan")
+
+
+def __getattr__(name: str):
+    """A synthesis or scan name of ``__all__``, read from its module each time (PEP 562)."""
+    if name in __all__:
+        for modname in _LAZY_MODULES:
+            module = importlib.import_module(f"{__name__}.{modname}")
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

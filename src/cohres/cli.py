@@ -17,6 +17,10 @@ All numbers print with repr, so CLI output equals library values exactly.
 Exit codes: 0 success, 1 domain error, 2 usage error.  A domain error is a
 ``CohresError`` or an ``OSError`` and prints as one line; any other
 exception is a bug and propagates with its traceback.
+
+The module imports only the table and solver layer; ``synth`` and ``scan``
+import the synthesis and scan modules in their handlers, so the other
+commands never load them.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from .control import (
 )
 from .core import _check_energies, _quotient
 from .errors import CohresError, TableValidationError
-from .scan import energy_scan, write_scan_csv
-from .scenario import read_scenario
 from .tableio import _fmt, read_table, write_table
 from .xsection import cross_section_matrix, differential_matrix, schwartz_ratio
 
@@ -169,6 +171,8 @@ def _matrices(args, table):
 
 
 def _cmd_synth(args) -> int:
+    from .scenario import read_scenario
+
     cfg = read_scenario(args.config)
     table = cfg.table_at(args.energy)
     write_table(table, args.out)
@@ -227,6 +231,9 @@ def _scan_energies(args) -> list[float]:
 
 def _cmd_scan(args) -> int:
     energies = _scan_energies(args)
+    from .scan import energy_scan, write_scan_csv
+    from .scenario import read_scenario
+
     cfg = read_scenario(args.config)
     rows = energy_scan(cfg, energies, args.pair)
     write_scan_csv(rows, args.out)

@@ -28,11 +28,12 @@ zero at -v_B (``_bloch_params``).
 
 Every 2x2 a solver solves (a channel's M, a ratio's A and B, and the
 whitened C) is brought to a safe scale by one exact power of two
-(``_scaled``), and its determinant is ``xsection._det``.  Every square is
-a product, x*x, which is correctly rounded (``x**2`` calls ``pow``, which
-is not).  So a scaled result is the full-scale one times that power, bit
-for bit, unless an entry, or a product the solve forms from them (such as
-lambda*b12 in a ratio's control point), is subnormal.
+(``xsection._scaled``, window ``_SAFE_EXP``), and its determinant is
+``xsection._det``.  Every square is a product, x*x, which is correctly
+rounded (``x**2`` calls ``pow``, which is not).  So a scaled result is
+the full-scale one times that power, bit for bit, unless an entry, or a
+product the solve forms from them (such as lambda*b12 in a ratio's
+control point), is subnormal.
 
 Everything here is closed-form and deterministic.  ``lattice_extrema`` is
 the deliberately independent brute-force cross-check: it evaluates the
@@ -50,7 +51,16 @@ import numpy as np
 from .constants import TWO_PI
 from .core import _index, _quotient, _real
 from .errors import CohresError, ZeroDenominatorError
-from .xsection import ControlParams, XsecMatrix, _det, _form_terms, controlled_cross_section
+from .xsection import (
+    _SAFE_EXP,
+    ControlParams,
+    XsecMatrix,
+    _det,
+    _form_terms,
+    _scaled,
+    _unscale,
+    controlled_cross_section,
+)
 
 __all__ = [
     "ControlRange",
@@ -64,8 +74,6 @@ __all__ = [
 SINGULAR_TOL = 1e-14  # det(B) <= tol * trace(B)^2 marks a singular denominator
 DEGENERATE_TOL = 1e-11  # elementwise |A - kappa*B| below this (relative) is degenerate
 DENOM_FLOOR = 1e-300  # a lattice ratio point is skipped where den <= this * its larger diagonal
-_SAFE_EXP = 250  # a larger diagonal in [2**-250, 2**250) is solved unscaled (_scaled)
-_SAFE_LOW, _SAFE_HIGH = math.ldexp(1.0, -_SAFE_EXP), math.ldexp(1.0, _SAFE_EXP)
 _BLOCK_POINTS = 1 << 15  # lattice points per row block: ~256 KB per float64 array
 _CORNERS = (ControlParams(0.0, 0.0), ControlParams(1.0, 0.0))  # a flat objective's points
 
@@ -117,38 +125,6 @@ def _bloch_params(m11: float, m22: float, m12: complex, sign: float) -> ControlP
     rho = math.hypot(x, y)
     s = 0.5 * (rho / r) * (rho / (r + z)) if z > 0.0 else 0.5 * (1.0 - z / r)
     return ControlParams(s, math.atan2(y, x) if rho else 0.0)
-
-
-def _scaled(m11: float, m22: float, m12: complex) -> tuple[float, float, complex, int]:
-    """The entries of [[m11, m12], [conj(m12), m22]] times 2**k, and the even k.
-
-    The solvers form products of two entries (determinants, squares) and
-    their quotients, which stay finite and normal at the scale of a larger
-    diagonal within [2**-``_SAFE_EXP``, 2**``_SAFE_EXP``): such entries are
-    returned as they are, k = 0.  Any other nonzero matrix is scaled so
-    that its larger diagonal lies in [2**(``_SAFE_EXP`` - 2),
-    2**``_SAFE_EXP``): the least shrinking that reaches the range, and the
-    most growth that stays in it, leave its smaller entries the most room
-    above the subnormals.  Scaling by a power of two is exact, so every
-    operation of the solve is the unscaled one's times a power of two, as
-    if no product had overflowed or underflowed, unless an entry, or a
-    product the solve forms from them (such as lambda*b12 in a ratio's
-    control point), is subnormal.  Callers undo it with ``_unscale``.
-    """
-    top = max(m11, m22)
-    if _SAFE_LOW <= top < _SAFE_HIGH or top == 0.0:
-        return m11, m22, m12, 0
-    k = (_SAFE_EXP - math.frexp(top)[1]) & ~1
-    m12 = complex(math.ldexp(m12.real, k), math.ldexp(m12.imag, k))
-    return math.ldexp(m11, k), math.ldexp(m22, k), m12, k
-
-
-def _unscale(x: float, k: int) -> float:
-    """x * 2**-k, rounded once; +-inf where that overflows, as float division gives it."""
-    try:
-        return math.ldexp(x, -k)
-    except OverflowError:
-        return math.copysign(math.inf, x)
 
 
 def _hermitian_eigenvalues(m11: float, m22: float, m12: complex, det: float) -> tuple[float, float]:
@@ -217,10 +193,12 @@ def ratio_extrema(
 
     * A proportional to B (within ``DEGENERATE_TOL``, elementwise relative):
       the ratio is flat; ``degenerate`` is set and min = max = trace ratio.
-    * B singular (det B <= tol_singular * trace(B)^2) with A not
-      proportional: the ratio is unbounded above; ``unbounded_max`` is set,
-      ``max_value`` is +inf and ``params_at_max`` is the denominator's zero
-      direction.  The finite minimum is det(A) / tr(adj(B) A).
+    * B singular (det B <= tol_singular * trace(B)^2, or det B so small
+      against B's larger diagonal that the whitening step underflows to 0)
+      with A not proportional: the ratio is unbounded above;
+      ``unbounded_max`` is set, ``max_value`` is +inf and ``params_at_max``
+      is the denominator's zero direction.  The finite minimum is
+      det(A) / tr(adj(B) A).
     * Otherwise both generalized eigenvalues are finite and real.  They are
       the eigenvalues of C, the numerator whitened by one LDL^H step of B
       pivoted on its larger diagonal (Golub & Van Loan, Matrix Computations,
@@ -276,7 +254,7 @@ def ratio_extrema(
     def at(lam: float, sign: float) -> ControlParams:
         return _bloch_params(a11 - lam * b11, a22 - lam * b22, a12 - lam * b12, sign)
 
-    if det_b <= tol_singular * (tr_b * tr_b):
+    def unbounded() -> ControlRange:
         mid = a11 * b22 + a22 * b11 - 2.0 * (a12 * b12.conjugate()).real  # tr(adj(B) A)
         lam_min = max(0.0, det_a / mid)
         return ControlRange(
@@ -287,6 +265,9 @@ def ratio_extrema(
             unbounded_max=True,
         )
 
+    if det_b <= tol_singular * (tr_b * tr_b):
+        return unbounded()
+
     # B = U^H diag(q11, d2) U with U = [[1, g], [0, 1]], pivoting on B's larger
     # diagonal (swapping the states conjugates the off-diagonals), so |g| <= 1
     if b22 > b11:
@@ -295,6 +276,8 @@ def ratio_extrema(
         p11, p22, p12, q11, q12 = a11, a22, a12, b11, b12
     g = q12 / q11
     d2 = det_b / q11
+    if d2 == 0.0:  # det_b underflows against the pivot: B is singular at working precision
+        return unbounded()
     # C = diag(q11, d2)^(-1/2) U^(-H) A U^(-1) diag(q11, d2)^(-1/2), with det C = det_a/det_b
     c11 = p11 / q11
     c12 = (p12 - p11 * g) / math.sqrt(q11 * d2)
@@ -302,7 +285,9 @@ def ratio_extrema(
     # C's scale is the ratio's, which a nearly singular B takes far from A's and B's own:
     # C is solved scaled too, det C as 2**j*det_a / 2**-j*det_b
     c11, c22, c12, j = _scaled(c11, c22, c12)
-    det_c = math.ldexp(det_a, j) / math.ldexp(det_b, -j)
+    if (scaled_det_b := math.ldexp(det_b, -j)) == 0.0:  # the same, at C's scale
+        return unbounded()
+    det_c = math.ldexp(det_a, j) / scaled_det_b
     lam_min, lam_max = _hermitian_eigenvalues(c11, c22, c12, det_c)
     lam_min, lam_max = _unscale(lam_min, j), _unscale(lam_max, j)
     return ControlRange(

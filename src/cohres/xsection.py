@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 SLACK = 1e-10  # relative to sigma11 + sigma22: what XsecMatrix forgives as rounding
+_SAFE_EXP = 250  # a larger diagonal in [2**-250, 2**250) is solved unscaled (_scaled)
+_SAFE_LOW, _SAFE_HIGH = math.ldexp(1.0, -_SAFE_EXP), math.ldexp(1.0, _SAFE_EXP)
 
 
 def _reduce_phase(phi: float) -> float:
@@ -51,6 +53,38 @@ def _det(m11: float, m22: float, m12: complex) -> float:
     """det [[m11, m12], [conj(m12), m22]] = m11*m22 - |m12|^2, each square a product."""
     a = abs(m12)
     return m11 * m22 - a * a
+
+
+def _scaled(m11: float, m22: float, m12: complex) -> tuple[float, float, complex, int]:
+    """The entries of [[m11, m12], [conj(m12), m22]] times 2**k, and the even k.
+
+    The solvers form products of two entries (determinants, squares) and
+    their quotients, which stay finite and normal at the scale of a larger
+    diagonal within [2**-``_SAFE_EXP``, 2**``_SAFE_EXP``): such entries are
+    returned as they are, k = 0.  Any other nonzero matrix is scaled so
+    that its larger diagonal lies in [2**(``_SAFE_EXP`` - 2),
+    2**``_SAFE_EXP``): the least shrinking that reaches the range, and the
+    most growth that stays in it, leave its smaller entries the most room
+    above the subnormals.  Scaling by a power of two is exact, so every
+    operation of the solve is the unscaled one's times a power of two, as
+    if no product had overflowed or underflowed, unless an entry, or a
+    product the solve forms from them (such as lambda*b12 in a ratio's
+    control point), is subnormal.  Callers undo it with ``_unscale``.
+    """
+    top = max(m11, m22)
+    if _SAFE_LOW <= top < _SAFE_HIGH or top == 0.0:
+        return m11, m22, m12, 0
+    k = (_SAFE_EXP - math.frexp(top)[1]) & ~1
+    m12 = complex(math.ldexp(m12.real, k), math.ldexp(m12.imag, k))
+    return math.ldexp(m11, k), math.ldexp(m22, k), m12, k
+
+
+def _unscale(x: float, k: int) -> float:
+    """x * 2**-k, rounded once; +-inf where that overflows, as float division gives it."""
+    try:
+        return math.ldexp(x, -k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,7 +164,9 @@ class XsecMatrix:
 
     @property
     def det(self) -> float:
-        return _det(self.sigma11, self.sigma22, self.sigma12)
+        """sigma11*sigma22 - |sigma12|^2, formed at ``_scaled``'s scale; +-inf beyond a double."""
+        m11, m22, m12, k = _scaled(self.sigma11, self.sigma22, self.sigma12)
+        return _unscale(_det(m11, m22, m12), 2 * k)
 
     def as_array(self) -> np.ndarray:
         return np.array(

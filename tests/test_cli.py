@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import re
@@ -8,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cohres
 from cohres import (
     differential_matrix,
     cross_section_matrix,
@@ -582,3 +584,110 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+LAYER_MODULES = ("constants", "core", "errors", "tableio", "xsection", "control")
+SYNTHESIS_AND_SCAN = ("cohres.resonance", "cohres.scenario", "cohres.scan")
+
+# run in a fresh interpreter: after each statement, print its SystemExit code (None if
+# it did not exit) and which of the synthesis and scan modules are loaded
+COLD_START_PROBE = """
+import json, sys
+for stmt in json.loads(sys.argv[1]):
+    code = None
+    try:
+        exec(stmt)
+    except SystemExit as exc:
+        code = exc.code
+    print(json.dumps([code, sorted(m for m in sys.modules if m in {lazy!r})]))
+""".format(lazy=SYNTHESIS_AND_SCAN)
+
+
+def loaded_after(*statements: str) -> list[list]:
+    """[exit code, synthesis and scan modules loaded] after each statement, in one fresh
+    interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE, json.dumps(statements)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+
+
+class TestColdStart:
+    """``import cohres`` loads the table and solver layer; the synthesis and scan layer
+    loads at first use of one of its names, and only ``synth`` and ``scan`` load it.
+    No name is kept in the package, so a patched module binding is seen at once."""
+
+    def test_table_commands_load_no_synthesis_or_scan_module(self, fhd_table, tmp_path):
+        t, out = str(fhd_table), str(tmp_path / "t2.json")
+        steps = loaded_after(
+            "import cohres",
+            "import cohres.cli",
+            f"cohres.cli.main(['validate', '--table', {t!r}])",
+            f"cohres.cli.main(['control', '--table', {t!r}, '--num', 'D+HF', '--den', 'H+DF'])",
+            f"cohres.cli.main(['control', '--table', {t!r}, '--channel', 'D+HF', '--angle', '90'])",
+            f"cohres.cli.main(['schwartz', '--table', {t!r}, '--channel', 'D+HF'])",
+            # a scan whose flags are refused exits 2 before it needs the scan layer
+            "cohres.cli.main(['scan', '--config', 'x.json', '--emin', '2', '--emax', '1',"
+            " '--step', '1', '--pair', 'A,B', '--out', 'x.csv'])",
+            f"cohres.cli.main(['synth', '--config', {str(FHD_SCENARIO)!r}, '--energy', '0.255',"
+            f" '--out', {out!r}])",
+        )
+        assert steps == [[None, []]] * 6 + [
+            [2, []],
+            [None, ["cohres.resonance", "cohres.scenario"]],
+        ]
+
+    def test_scan_loads_its_modules(self, tmp_path):
+        out = str(tmp_path / "s.csv")
+        argv = [*SCAN, "--emin", "0.25", "--emax", "0.25", "--step", "0.01"]
+        argv = [a.format(scenario=FHD_SCENARIO, out=out) for a in argv]
+        assert loaded_after("import cohres.cli", f"cohres.cli.main({argv!r})") == [
+            [None, []],
+            [None, sorted(SYNTHESIS_AND_SCAN)],
+        ]
+
+    def test_a_first_use_loads_the_layer(self):
+        assert loaded_after("import cohres", "cohres.ScanRow") == [
+            [None, []],
+            [None, sorted(SYNTHESIS_AND_SCAN)],
+        ]
+
+    def test_every_exported_name_is_its_modules_binding(self):
+        modules = [importlib.import_module(f"cohres.{m}") for m in LAYER_MODULES]
+        modules += [importlib.import_module(m) for m in SYNTHESIS_AND_SCAN]
+        for name in cohres.__all__:
+            homes = [m for m in modules if name in getattr(m, "__all__", vars(m))]
+            assert homes, name
+            assert all(getattr(cohres, name) is getattr(m, name) for m in homes), name
+
+    def test_dir_and_star_import_cover_all(self):
+        assert set(cohres.__all__) <= set(dir(cohres))
+        namespace = {}
+        exec("from cohres import *", namespace)
+        del namespace["__builtins__"]
+        assert len(cohres.__all__) == 54
+        assert sorted(namespace) == sorted(cohres.__all__)
+
+    @pytest.mark.parametrize("name", ["no_such_name", "scan_csv_header"])
+    def test_an_unknown_name_is_an_attribute_error(self, name):
+        # scan_csv_header is in cohres.scan.__all__ but not in the package's
+        with pytest.raises(AttributeError) as err:
+            getattr(cohres, name)
+        assert str(err.value) == f"module 'cohres' has no attribute {name!r}"
+
+    def test_each_use_reads_the_modules_current_binding(self, monkeypatch):
+        import cohres.scan
+
+        original = cohres.scan.energy_scan
+
+        def f(*args):
+            return ()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cohres.scan, "energy_scan", f)
+            assert cohres.energy_scan is f
+        assert cohres.energy_scan is original
+        assert "energy_scan" not in vars(cohres)  # no binding is kept in the package

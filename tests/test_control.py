@@ -423,6 +423,22 @@ class TestScaleBeforeSolving:
             assert (got.min_value, got.max_value) == (value, value)
             assert (got.params_at_min, got.params_at_max) == (want.params_at_min, want.params_at_max)
 
+    def test_a_denominator_singular_at_working_precision_is_unbounded(self):
+        # tol_singular = 0 admits det(B) > 0 to the finite regime, but there det(B)/b11
+        # underflows to 0 (first B), or C's scale takes det(B) below the subnormals
+        # (second B): B is singular at working precision, and the default threshold's
+        # unbounded regime is solved instead
+        a, b11 = sched(1.0, 2.0, 0.5, "A"), 2.0**249
+        root = math.sqrt(b11) * math.sqrt(2.0**-1070)
+        first = sched(b11, 2.0**-1070, math.nextafter(root, 0.0), "B")
+        second = sched(b11, 2.0**-1074, 0.5 * math.sqrt(b11) * math.sqrt(2.0**-1074), "B")
+        for b in (first, second):
+            assert b.det > 0.0
+            got = ratio_extrema(a, b, tol_singular=0.0)
+            assert got.unbounded_max and got == ratio_extrema(a, b)
+        got = ratio_extrema(a, first, tol_singular=0.0)
+        assert (got.min_value, got.max_value) == (9.672508781705778e-76, math.inf)
+
 
 class TestNoncoherentLimits:
     def test_returns_diagonal(self):

@@ -295,6 +295,35 @@ class TestXsecMatrixInvariants:
             assert eig.min() >= -1e-10 * m.trace
             assert abs(m.sigma12) <= math.sqrt(m.sigma11 * m.sigma22) + 1e-10 * m.trace
 
+    def test_det_beyond_a_double_is_inf_not_nan(self):
+        # sigma11*sigma22 and |sigma12|**2 both overflow; the det is formed at a safe scale
+        assert XsecMatrix("X", "integral", 2.0**600, 2.0**601, 2.0**599).det == math.inf
+
+    @pytest.mark.parametrize("k", [-600, -2, 2, 600])
+    def test_a_scaled_matrix_has_the_full_scale_det_times_the_power(self, rng, k):
+        for _ in range(200):
+            m = _random_xsec(rng, int(rng.integers(-240, 240)))
+            try:
+                want = math.ldexp(m.det, 2 * k)
+            except OverflowError:
+                continue  # not representable
+            s11, s22 = math.ldexp(m.sigma11, k), math.ldexp(m.sigma22, k)
+            s12 = complex(math.ldexp(m.sigma12.real, k), math.ldexp(m.sigma12.imag, k))
+            assert XsecMatrix("X", "integral", s11, s22, s12).det == want
+
+    def test_an_in_window_det_keeps_its_bits(self, rng):
+        for _ in range(1000):
+            m = _random_xsec(rng, int(rng.integers(-240, 240)))
+            a = abs(m.sigma12)
+            assert m.det == m.sigma11 * m.sigma22 - a * a
+
+
+def _random_xsec(rng, e: int) -> XsecMatrix:
+    """A random PSD matrix whose larger diagonal lies in (2**(e-1), 2**e]."""
+    s11, s22 = math.ldexp(1.0 - 0.5 * rng.random(), e), math.ldexp(rng.random(), e)
+    r = math.sqrt(s11) * math.sqrt(s22) * rng.random()
+    return XsecMatrix("X", "integral", s11, s22, cmath.rect(r, rng.uniform(0.0, TWO_PI)))
+
 
 NAN = math.nan
 # (constructor, arguments, what it stores as {field: (type, repr)} or its exact error message)
